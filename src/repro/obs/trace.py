@@ -124,7 +124,9 @@ class Tracer:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._spans: dict[str, list[Span]] = {}
-        self._indices: dict[tuple[str, str | None, str], int] = {}
+        #: Per-trace span-index counters, keyed ``(parent_id, name)``, so
+        #: evicting a trace drops its counters in O(1).
+        self._indices: dict[str, dict[tuple[str | None, str], int]] = {}
 
     def __bool__(self) -> bool:
         return True
@@ -142,9 +144,12 @@ class Tracer:
     ) -> Span:
         """Finish one span now; returns it (its id names it as a parent)."""
         with self._lock:
-            index_key = (trace_id, parent_id, name)
-            index = self._indices.get(index_key, 0)
-            self._indices[index_key] = index + 1
+            counters = self._indices.get(trace_id)
+            if counters is None:
+                counters = self._indices[trace_id] = {}
+            index_key = (parent_id, name)
+            index = counters.get(index_key, 0)
+            counters[index_key] = index + 1
             span = Span(
                 trace_id=trace_id,
                 span_id=span_id_for(trace_id, parent_id, name, index),
@@ -169,11 +174,7 @@ class Tracer:
             if len(self._spans) >= self.capacity:
                 oldest = next(iter(self._spans))
                 del self._spans[oldest]
-                self._indices = {
-                    key: value
-                    for key, value in self._indices.items()
-                    if key[0] != oldest
-                }
+                self._indices.pop(oldest, None)
             bucket = self._spans[span.trace_id] = []
         bucket.append(span)
 

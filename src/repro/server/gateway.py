@@ -597,6 +597,8 @@ class DeclassificationServer:
                 verify_time=receipt.verify_time,
             )
 
+        # A cold compile: count the miss the presence probe above found.
+        self.cache.count_miss()
         loop = asyncio.get_running_loop()
         inflight = loop.create_future()
         self._inflight[key] = inflight

@@ -52,12 +52,20 @@ Two serving-scale concerns live here as well:
   over-approximation of any knowledge the attacker retains — the
   property test in ``tests/server/test_ledger.py`` checks exactly that
   ("decay is never tighter").
+
+Per-request cost tracks *distinct bounds*, not accounts: every stored
+bound is interned (equal bounds are one object), and admission decisions
+and commit transitions come from a FIFO-bounded memo keyed by the
+identity of its inputs, which each entry pins.  A hit changes only
+timing (DESIGN.md §9; differential-tested in
+``tests/server/test_ledger.py``).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Iterator, Protocol
 
 from repro.core.qinfo import QInfo, intersect_knowledge
@@ -94,6 +102,21 @@ __all__ = [
 
 #: Bumped whenever the persisted bound payload changes incompatibly.
 LEDGER_FORMAT_VERSION = 1
+
+#: Entries the ledger's transition memo holds before evicting the oldest.
+#: A tick touches (distinct bounds) x (queries) x (admission + both
+#: responses); each entry pins its prior, so the cap also bounds how many
+#: bounds no account holds any more stay alive.
+_MEMO_CAPACITY = 2048
+
+
+def _bound_key(bound: AbstractDomain) -> tuple:
+    """The intern-table key of a bound: its type and dataclass fields.
+
+    Equal keys exactly when the bounds are equal, and the key does not
+    reference the bound itself, so the weak table can drop it.
+    """
+    return (type(bound), *(getattr(bound, f.name) for f in fields(bound)))
 
 
 class LedgerFormatError(RuntimeError):
@@ -270,6 +293,13 @@ class PrivacyBudgetLedger:
         #: mode (:meth:`buffer_writes`) so it can land each tick's bound
         #: puts in the *same* transaction as the journal acknowledgement.
         self._buffered: list[tuple[str, str, dict[str, Any]]] | None = None
+        #: Canonical bound objects (see the module doc), weakly held.
+        self._interned: weakref.WeakValueDictionary[tuple, AbstractDomain] = (
+            weakref.WeakValueDictionary()
+        )
+        #: Identity-keyed transitions: key -> (pinned inputs, value).
+        self._memo: dict[tuple, tuple[tuple, Any]] = {}
+        self._memo_capacity = _MEMO_CAPACITY
         if store is not None:
             for user_id, spec_name, payload in list(store.ledger_bounds()):
                 self.apply_payload(user_id, spec_name, payload, persist=False)
@@ -329,23 +359,15 @@ class PrivacyBudgetLedger:
         with self._lock:
             account = self.account(user_id)
             prior = self._sound_prior(account, qinfo)
-            pair = qinfo.approx(prior, mode=mode)
-            remaining = prior.size()
-            self._observe_remaining(remaining)
-            if pair_verdict(self.floor, pair):
-                return LedgerDecision(
-                    allowed=True, reason="ok", remaining=remaining
+            key, pins = (id(prior), id(qinfo), mode), (prior, qinfo, self.floor)
+            decision = self._recall(key, pins)
+            if decision is None:
+                allowed = pair_verdict(self.floor, qinfo.approx(prior, mode=mode))
+                decision = self._remember(
+                    key, pins, self._decision(allowed, prior, qinfo)
                 )
-            account.refusals += 1
-            self._count_refusal()
-            return LedgerDecision(
-                allowed=False,
-                reason=(
-                    f"budget exhausted: {self.floor.name} would fail on a "
-                    f"posterior of {qinfo.name!r}"
-                ),
-                remaining=prior.size(),
-            )
+            self._tally(account, decision)
+            return decision
 
     def preauthorize_batch(
         self, user_ids: Iterable[str], qinfo: QInfo, *, mode: str = "under"
@@ -356,49 +378,39 @@ class PrivacyBudgetLedger:
         for each user — same reasons, same ``remaining``, one refusal
         tallied per refused user — but whole fleets sharing a bound (the
         common case: fresh users all sit at the full space) cost one
-        posterior intersection and one vectorized bound-size check.
-        Duplicate ids collapse to one decision; serving rounds are
-        already unique per user (:func:`repro.server.workers.rounds_by_user`).
+        memo lookup, and only bounds the memo misses pay a posterior
+        intersection and one vectorized bound-size check.  Bounds are
+        interned, so users are grouped by bound identity, not by hashing
+        the domain.  Duplicate ids collapse to one decision; serving
+        rounds are already unique per user
+        (:func:`repro.server.workers.rounds_by_user`).
         """
         with self._lock:
-            ids = list(dict.fromkeys(user_ids))
-            priors = [
-                self._sound_prior(self.account(uid), qinfo) for uid in ids
-            ]
-            group: dict[AbstractDomain, int] = {}
-            keys: list[int] = []
-            distinct: list[AbstractDomain] = []
-            for prior in priors:
-                key = group.get(prior)
-                if key is None:
-                    key = len(distinct)
-                    group[prior] = key
-                    distinct.append(prior)
-                keys.append(key)
-            pairs = qinfo.approx_batch(distinct, mode=mode)
-            allowed = batch_pair_verdict(self.floor, pairs)
-            remaining = [prior.size() for prior in distinct]
-            granted = [
-                LedgerDecision(allowed=True, reason="ok", remaining=remaining[k])
-                if allowed[k]
-                else LedgerDecision(
-                    allowed=False,
-                    reason=(
-                        f"budget exhausted: {self.floor.name} would fail on a "
-                        f"posterior of {qinfo.name!r}"
-                    ),
-                    remaining=remaining[k],
+            accounts = [self.account(uid) for uid in dict.fromkeys(user_ids)]
+            priors = [self._sound_prior(account, qinfo) for account in accounts]
+            by_prior: dict[int, LedgerDecision] = {}
+            misses: list[AbstractDomain] = []
+            for prior in {id(prior): prior for prior in priors}.values():
+                decision = self._recall(
+                    (id(prior), id(qinfo), mode), (prior, qinfo, self.floor)
                 )
-                for k in range(len(distinct))
-            ]
+                if decision is None:
+                    misses.append(prior)
+                else:
+                    by_prior[id(prior)] = decision
+            if misses:
+                pairs = qinfo.approx_batch(misses, mode=mode)
+                verdicts = batch_pair_verdict(self.floor, pairs)
+                for prior, allowed in zip(misses, verdicts):
+                    by_prior[id(prior)] = self._remember(
+                        (id(prior), id(qinfo), mode),
+                        (prior, qinfo, self.floor),
+                        self._decision(allowed, prior, qinfo),
+                    )
             decisions: dict[str, LedgerDecision] = {}
-            for uid, key in zip(ids, keys):
-                decision = granted[key]
-                self._observe_remaining(decision.remaining)
-                if not decision.allowed:
-                    self.account(uid).refusals += 1
-                    self._count_refusal()
-                decisions[uid] = decision
+            for account, prior in zip(accounts, priors):
+                decision = decisions[account.user_id] = by_prior[id(prior)]
+                self._tally(account, decision)
             return decisions
 
     # -- charging ------------------------------------------------------------
@@ -416,11 +428,10 @@ class PrivacyBudgetLedger:
         with self._lock:
             account = self.account(user_id)
             prior = self._sound_prior(account, qinfo)
-            true_ind, false_ind = qinfo.indset_pair(mode=mode)
-            posterior = intersect_knowledge(
-                prior, true_ind if response else false_ind
+            posterior, clears, charge = self._transition(
+                prior, qinfo, mode, response
             )
-            if not self.floor(posterior):
+            if not clears:
                 raise LedgerInvariantError(
                     f"committing {qinfo.name!r} for {user_id!r} would cross "
                     f"the floor {self.floor.name}"
@@ -430,20 +441,11 @@ class PrivacyBudgetLedger:
             if qinfo.over_indset is not None:
                 over_prior = account.complete.get(spec_name)
                 if over_prior is None:
-                    over_prior = top_knowledge_for(qinfo)
-                over_true, over_false = qinfo.indset_pair(mode="over")
-                account.complete[spec_name] = intersect_knowledge(
-                    over_prior, over_true if response else over_false
-                )
-            account.charges.append(
-                ChargeRecord(
-                    query_name=qinfo.name,
-                    spec_name=spec_name,
-                    response=response,
-                    prior_size=prior.size(),
-                    posterior_size=posterior.size(),
-                )
-            )
+                    over_prior = self._top(qinfo)
+                account.complete[spec_name] = self._transition(
+                    over_prior, qinfo, "over", response
+                )[0]
+            account.charges.append(charge)
             self._persist(user_id, qinfo.secret)
             return posterior
 
@@ -548,7 +550,7 @@ class PrivacyBudgetLedger:
                 existing = bounds.get(spec_name)
                 if monotone and existing is not None:
                     incoming = intersect_knowledge(existing, incoming)
-                bounds[spec_name] = incoming
+                bounds[spec_name] = self._intern(incoming)
             self.epoch = max(self.epoch, int(payload.get("epoch", 0)))
             if persist:
                 self._persist(user_id, spec)
@@ -574,7 +576,7 @@ class PrivacyBudgetLedger:
                     for spec_name, bound in list(bounds.items()):
                         for _ in range(epochs):
                             bound = self.decay.dilate(bound)
-                        bounds[spec_name] = bound
+                        bounds[spec_name] = bound = self._intern(bound)
                         specs[spec_name] = bound.spec
                 for spec in specs.values():
                     self._persist(account.user_id, spec)
@@ -624,4 +626,85 @@ class PrivacyBudgetLedger:
 
     def _sound_prior(self, account: BudgetAccount, qinfo: QInfo) -> AbstractDomain:
         bound = account.sound.get(qinfo.secret.name)
-        return top_knowledge_for(qinfo) if bound is None else bound
+        return self._top(qinfo) if bound is None else bound
+
+    def _intern(self, bound: AbstractDomain) -> AbstractDomain:
+        """The canonical object equal to ``bound`` (``bound`` if new)."""
+        key = _bound_key(bound)
+        canonical = self._interned.get(key)
+        if canonical is None:
+            self._interned[key] = canonical = bound
+        return canonical
+
+    def _recall(self, key: tuple, pins: tuple) -> Any:
+        """The memoized value for ``key`` if computed from ``pins``."""
+        entry = self._memo.get(key)
+        if entry is None:
+            return None
+        pinned, value = entry
+        for held, given in zip(pinned, pins):
+            if held is not given:
+                return None
+        return value
+
+    def _remember(self, key: tuple, pins: tuple, value: Any) -> Any:
+        """Store ``value`` under ``key``, pinning ``pins``; FIFO-bounded."""
+        memo = self._memo
+        if key not in memo and len(memo) >= self._memo_capacity:
+            del memo[next(iter(memo))]
+        memo[key] = (pins, value)
+        return value
+
+    def _top(self, qinfo: QInfo) -> AbstractDomain:
+        """The interned ⊤ prior of a query's domain."""
+        key = (id(qinfo),)
+        top = self._recall(key, (qinfo,))
+        if top is None:
+            top = self._remember(
+                key, (qinfo,), self._intern(top_knowledge_for(qinfo))
+            )
+        return top
+
+    def _transition(
+        self, prior: AbstractDomain, qinfo: QInfo, mode: str, response: bool
+    ) -> tuple[AbstractDomain, bool, ChargeRecord]:
+        """One answer folded into a bound, memoized.
+
+        Returns the interned posterior, whether it clears the floor, and
+        the charge record.
+        """
+        key = (id(prior), id(qinfo), mode, response)
+        pins = (prior, qinfo, self.floor)
+        hit = self._recall(key, pins)
+        if hit is None:
+            true_ind, false_ind = qinfo.indset_pair(mode=mode)
+            posterior = self._intern(
+                intersect_knowledge(prior, true_ind if response else false_ind)
+            )
+            charge = ChargeRecord(
+                query_name=qinfo.name,
+                spec_name=qinfo.secret.name,
+                response=response,
+                prior_size=prior.size(),
+                posterior_size=posterior.size(),
+            )
+            hit = self._remember(
+                key, pins, (posterior, self.floor(posterior), charge)
+            )
+        return hit
+
+    def _decision(
+        self, allowed: bool, prior: AbstractDomain, qinfo: QInfo
+    ) -> LedgerDecision:
+        reason = "ok" if allowed else (
+            f"budget exhausted: {self.floor.name} would fail on a "
+            f"posterior of {qinfo.name!r}"
+        )
+        return LedgerDecision(allowed=allowed, reason=reason, remaining=prior.size())
+
+    def _tally(self, account: BudgetAccount, decision: LedgerDecision) -> None:
+        """Per-user telemetry of one admission (memo hit or not)."""
+        self._observe_remaining(decision.remaining)
+        if not decision.allowed:
+            account.refusals += 1
+            self._count_refusal()

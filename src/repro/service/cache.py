@@ -216,6 +216,10 @@ class SynthesisCache:
                 return True
         return False
 
+    def count_miss(self) -> None:
+        """Count a miss that an uncounted :meth:`__contains__` probe found."""
+        self._misses += 1
+
     def keys(self) -> Iterator[str]:
         """The stored keys."""
         return iter(self._entries)

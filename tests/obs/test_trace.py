@@ -1,6 +1,7 @@
 """The replay-stable tracer: derived ids, canonical trees, digests."""
 
 import json
+import time
 
 from repro.obs.trace import (
     NULL_TRACER,
@@ -118,3 +119,44 @@ def test_null_tracer_is_falsy_with_stable_digest():
     # An empty real tracer digests to the same seed value: "no traces"
     # is one well-defined state, observed or not.
     assert Tracer().digest() == NULL_TRACER.digest()
+
+
+def test_recording_an_evicted_trace_restarts_its_indices():
+    tracer = Tracer(capacity=2)
+    first = trace_id_for("k", 0)
+    tracer.record(first, "retry")
+    tracer.record(first, "retry")
+    for seq in (1, 2):
+        tracer.record(trace_id_for("k", seq), "downgrade")
+    assert first not in tracer.trace_ids()
+    again = tracer.record(first, "retry")
+    assert again.span_id == span_id_for(first, None, "retry", 0)
+    assert [span.span_id for span in tracer.spans(first)] == [again.span_id]
+
+
+def test_record_cost_stays_flat_past_capacity():
+    """Once full, every new trace evicts one; that must cost O(1), not
+    O(retained spans).  Records 20x capacity traces and compares the
+    last ``capacity`` records against the first ``capacity``."""
+    capacity = Tracer().capacity
+
+    def timed(tracer: Tracer, seqs: range) -> float:
+        start = time.perf_counter()
+        for seq in seqs:
+            tid = trace_id_for("k", seq)
+            root = tracer.record(tid, "downgrade")
+            tracer.record(tid, "serve", parent_id=root.span_id)
+        return time.perf_counter() - start
+
+    def run() -> tuple[float, float]:
+        tracer = Tracer(capacity=capacity)
+        first = timed(tracer, range(capacity))
+        timed(tracer, range(capacity, 19 * capacity))
+        last = timed(tracer, range(19 * capacity, 20 * capacity))
+        assert len(tracer.trace_ids()) == capacity
+        return first, last
+
+    samples = [run() for _ in range(3)]
+    slowest_last = max(last for _, last in samples)
+    slowest_first = max(first for first, _ in samples)
+    assert slowest_last <= 3 * slowest_first, samples

@@ -569,3 +569,29 @@ def test_contains_promotes_store_writes_from_other_processes(tmp_path):
             server.shutdown()
 
     asyncio.run(scenario())
+
+
+def test_cold_compiles_count_cache_misses():
+    """A cold compile counts one cache miss; warm re-registrations and
+    coalesced waiters count none."""
+
+    async def scenario():
+        server = make_server()
+        await server.register_query(CompileRequest("q", "x <= 50", SPEC))
+        assert server.cache.stats.misses == 1
+        hits = server.cache.stats.hits
+        again = await server.register_query(CompileRequest("q2", "50 >= x", SPEC))
+        assert again.cache_hit
+        assert server.cache.stats.misses == 1
+        assert server.cache.stats.hits == hits + 1
+        await asyncio.gather(
+            *(
+                server.register_query(CompileRequest(f"p{i}", "y <= 20", SPEC))
+                for i in range(3)
+            )
+        )
+        assert server.cache.stats.misses == 2
+        assert server.audit_summary()["cache"]["misses"] == 2
+        server.shutdown()
+
+    asyncio.run(scenario())

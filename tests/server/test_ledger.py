@@ -14,26 +14,32 @@ histories run in milliseconds.
 """
 
 import dataclasses
+import sys
+import threading
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
 
-from repro.core.qinfo import QInfo
+from repro.core.qinfo import QInfo, intersect_knowledge
 from repro.domains.box import IntervalDomain
 from repro.domains.powerset import PowersetDomain
 from repro.lang.parser import parse_bool
 from repro.lang.secrets import SecretSpec
+from repro.monad.anosy import top_knowledge_for
 from repro.monad.policy import size_above
 from repro.monad.protected import ProtectedSecret
 from repro.server.ledger import (
+    ChargeRecord,
     DecayPolicy,
+    LedgerDecision,
     LedgerFormatError,
     LedgerInvariantError,
     PrivacyBudgetLedger,
 )
 from repro.server.store import SQLiteStore
+from repro.service.serialize import domain_from_json
 from repro.solver.boxes import Box
 
 SPEC = SecretSpec.declare("Grid", x=(0, 15), y=(0, 15))
@@ -379,3 +385,258 @@ def test_preauthorize_batch_collapses_duplicate_ids():
     assert list(decisions) == ["u"]
     assert not decisions["u"].allowed
     assert ledger.account("u").refusals == 1
+
+
+# ---------------------------------------------------------------------------
+# Differential: the interned, memoized ledger against a memo-free fold
+# ---------------------------------------------------------------------------
+
+
+def powerset_threshold_qinfo(axis: str, threshold: int) -> QInfo:
+    """``axis <= threshold`` over the powerset domain, with a distinct
+    under pair (the centre carved out of each side) and the exact over
+    pair, so the two modes fold to different bounds and verdicts."""
+    exact = threshold_qinfo(axis, threshold).over_indset
+    under = tuple(
+        PowersetDomain(SPEC, (side.box,), (Box(((4, 11), (4, 11))),))
+        for side in exact
+    )
+    over = tuple(PowersetDomain.from_interval(side) for side in exact)
+    return QInfo(
+        name=f"{axis}<={threshold}/powerset",
+        query=parse_bool(f"{axis} <= {threshold}"),
+        secret=SPEC,
+        under_indset=under,
+        over_indset=over,
+    )
+
+
+#: A fixed pool, so the ledger sees the same ``QInfo`` objects again; the
+#: last entry is an equal but distinct copy of the first.
+QUERY_POOL = [
+    threshold_qinfo("x", 7),
+    threshold_qinfo("y", 9),
+    powerset_threshold_qinfo("x", 7),
+    powerset_threshold_qinfo("y", 8),
+    threshold_qinfo("x", 7),
+]
+USERS = ["u0", "u1", "u2", "u3"]
+
+
+def refusal_reason(floor, qinfo: QInfo) -> str:
+    return (
+        f"budget exhausted: {floor.name} would fail on a posterior of "
+        f"{qinfo.name!r}"
+    )
+
+
+class ReferenceLedger:
+    """The uncached fold: every answer recomputed from ``qinfo.approx``
+    and :func:`intersect_knowledge`, no interning, no memo."""
+
+    def __init__(self, floor, decay: DecayPolicy):
+        self.floor = floor
+        self.decay = decay
+        self.sound: dict[str, object] = {}
+        self.complete: dict[str, object] = {}
+        self.charges: dict[str, list[ChargeRecord]] = {u: [] for u in USERS}
+        self.refusals: dict[str, int] = {u: 0 for u in USERS}
+
+    def prior(self, user: str, qinfo: QInfo):
+        bound = self.sound.get(user)
+        return top_knowledge_for(qinfo) if bound is None else bound
+
+    def preauthorize(self, user: str, qinfo: QInfo, mode: str) -> LedgerDecision:
+        prior = self.prior(user, qinfo)
+        true_post, false_post = qinfo.approx(prior, mode=mode)
+        if self.floor(true_post) and self.floor(false_post):
+            return LedgerDecision(True, "ok", prior.size())
+        self.refusals[user] += 1
+        return LedgerDecision(False, refusal_reason(self.floor, qinfo), prior.size())
+
+    def commit(self, user: str, qinfo: QInfo, response: bool, mode: str):
+        prior = self.prior(user, qinfo)
+        true_post, false_post = qinfo.approx(prior, mode=mode)
+        posterior = true_post if response else false_post
+        if not self.floor(posterior):
+            raise LedgerInvariantError(qinfo.name)
+        self.sound[user] = posterior
+        over_prior = self.complete.get(user)
+        if over_prior is None:
+            over_prior = top_knowledge_for(qinfo)
+        over_true, over_false = qinfo.approx(over_prior, mode="over")
+        self.complete[user] = over_true if response else over_false
+        self.charges[user].append(
+            ChargeRecord(
+                qinfo.name, SPEC.name, response, prior.size(), posterior.size()
+            )
+        )
+        return posterior
+
+    def apply_payload(self, user: str, payload: dict, monotone: bool) -> None:
+        for bounds, key in ((self.sound, "sound"), (self.complete, "complete")):
+            encoded = payload[key]
+            if encoded is None:
+                if not monotone:
+                    bounds.pop(user, None)
+                continue
+            incoming = domain_from_json(encoded, SPEC)
+            if monotone and user in bounds:
+                incoming = intersect_knowledge(bounds[user], incoming)
+            bounds[user] = incoming
+
+    def advance_epoch(self, epochs: int) -> None:
+        for bounds in (self.sound, self.complete):
+            for user, bound in list(bounds.items()):
+                for _ in range(epochs):
+                    bound = self.decay.dilate(bound)
+                bounds[user] = bound
+
+
+queries_ix = st.integers(min_value=0, max_value=len(QUERY_POOL) - 1)
+users_ix = st.sampled_from(USERS)
+modes = st.sampled_from(["under", "over"])
+ledger_ops = st.one_of(
+    st.tuples(st.just("preauthorize"), users_ix, queries_ix, modes),
+    st.tuples(
+        st.just("batch"),
+        st.lists(users_ix, min_size=1, max_size=6),
+        queries_ix,
+        modes,
+    ),
+    st.tuples(st.just("commit"), users_ix, queries_ix, st.booleans(), modes),
+    st.tuples(st.just("apply"), users_ix, users_ix, st.booleans()),
+    st.tuples(st.just("epoch"), st.integers(min_value=0, max_value=2)),
+)
+
+
+def assert_interned(ledger: PrivacyBudgetLedger) -> None:
+    """Equal bounds held by any accounts are one object."""
+    bounds = [
+        bound
+        for user in ledger.users()
+        for held in (ledger.account(user).sound, ledger.account(user).complete)
+        for bound in held.values()
+    ]
+    for i, first in enumerate(bounds):
+        for second in bounds[i + 1 :]:
+            assert (first == second) == (first is second)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=st.lists(ledger_ops, min_size=1, max_size=40),
+    floor=st.integers(min_value=0, max_value=120),
+    radius=st.integers(min_value=0, max_value=2),
+    capacity=st.sampled_from([1, 3, 8, 2048]),
+)
+def test_memoized_ledger_matches_memo_free_fold(ops, floor, radius, capacity):
+    policy, decay = size_above(floor), DecayPolicy(radius=radius)
+    ledger = PrivacyBudgetLedger(policy, decay=decay)
+    ledger._memo_capacity = capacity
+    reference = ReferenceLedger(policy, decay)
+    for op in ops:
+        kind = op[0]
+        if kind == "preauthorize":
+            _, user, q, mode = op
+            qinfo = QUERY_POOL[q]
+            assert ledger.preauthorize(user, qinfo, mode=mode) == (
+                reference.preauthorize(user, qinfo, mode)
+            )
+        elif kind == "batch":
+            _, users, q, mode = op
+            qinfo = QUERY_POOL[q]
+            expected = {
+                user: reference.preauthorize(user, qinfo, mode)
+                for user in dict.fromkeys(users)
+            }
+            assert ledger.preauthorize_batch(users, qinfo, mode=mode) == expected
+        elif kind == "commit":
+            _, user, q, response, mode = op
+            qinfo = QUERY_POOL[q]
+            try:
+                expected = reference.commit(user, qinfo, response, mode)
+            except LedgerInvariantError:
+                with pytest.raises(LedgerInvariantError):
+                    ledger.commit(user, qinfo, response, mode=mode)
+            else:
+                assert ledger.commit(user, qinfo, response, mode=mode) == expected
+        elif kind == "apply":
+            _, user, source, monotone = op
+            payload = ledger.export_bound(source, SPEC)
+            ledger.apply_payload(user, SPEC.name, payload, monotone=monotone)
+            reference.apply_payload(user, payload, monotone)
+        else:
+            ledger.advance_epoch(op[1])
+            reference.advance_epoch(op[1])
+        for user in USERS:
+            account = ledger.account(user)
+            assert account.sound.get(SPEC.name) == reference.sound.get(user)
+            assert account.complete.get(SPEC.name) == reference.complete.get(user)
+            assert account.charges == reference.charges[user]
+            assert account.refusals == reference.refusals[user]
+        assert_interned(ledger)
+        assert len(ledger._memo) <= capacity
+
+
+def test_fleet_sharing_a_bound_holds_one_object_and_a_bounded_memo():
+    """Churn through many users and queries: accounts that reach equal
+    bounds share one object, and the memo never outgrows its capacity."""
+    ledger = PrivacyBudgetLedger(size_above(0), decay=DecayPolicy(radius=1))
+    ledger._memo_capacity = 16
+    qinfos = [threshold_qinfo(axis, t) for axis in "xy" for t in range(3, 12)]
+    for n in range(400):
+        user = f"user{n}"
+        for qinfo in qinfos[n % 5 : n % 5 + 3]:
+            ledger.commit(user, qinfo, n % 2 == 0)
+        assert len(ledger._memo) <= 16
+        if n % 100 == 99:
+            ledger.advance_epoch()
+    assert_interned(ledger)
+    distinct = {id(ledger.account(u).sound[SPEC.name]) for u in ledger.users()}
+    assert len(distinct) < 20
+
+
+def test_concurrent_callers_share_one_memo_without_lost_updates():
+    """Admission and commit from more threads than cores, with a short
+    switch interval, leave every account exactly where a sequential run
+    leaves it: the memo and intern table are shared state under the
+    ledger's lock."""
+    qinfos = [threshold_qinfo(axis, t) for axis in "xy" for t in (5, 9, 12)]
+
+    def drive(ledger: PrivacyBudgetLedger, users: list[str]) -> None:
+        for round_ in range(6):
+            for user in users:
+                qinfo = qinfos[(round_ + len(user)) % len(qinfos)]
+                if ledger.preauthorize(user, qinfo).allowed:
+                    ledger.commit(user, qinfo, round_ % 2 == 0)
+            ledger.preauthorize_batch(users, qinfos[round_])
+
+    groups = [[f"t{i}-u{j}" for j in range(12)] for i in range(8)]
+    sequential = PrivacyBudgetLedger(size_above(20))
+    for users in groups:
+        drive(sequential, users)
+
+    shared = PrivacyBudgetLedger(size_above(20))
+    shared._memo_capacity = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=drive, args=(shared, users)) for users in groups
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for users in groups:
+        for user in users:
+            expected, actual = sequential.account(user), shared.account(user)
+            assert actual.sound == expected.sound
+            assert actual.charges == expected.charges
+            assert actual.refusals == expected.refusals
+    assert_interned(shared)
+    assert len(shared._memo) <= 8
