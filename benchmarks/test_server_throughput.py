@@ -17,7 +17,11 @@ Three claims of the ``repro.server`` architecture, measured and gated:
 * **ticks batch serving** — concurrent downgrades through the gateway
   collapse into far fewer batch passes than requests; the same workload
   is also measured on the per-shard serving tier (``serving_sharded``,
-  reported, not gated);
+  reported, not gated).  The sharded rows below are steady-state: every
+  session is opened first, ``WARMUP_WAVES`` waves of ``WAVE_SESSIONS``
+  fresh sessions then fill the tracer past its capacity, and the row
+  records the median rate (and its IQR) of ``TIMED_WAVES`` further
+  waves, each wave a disjoint slice of sessions asking the same query;
 * **degradation is graceful** — the same sharded workload with 1 of 4
   serving shards breaker-tripped (its users served on the gateway-local
   fallback path) keeps ≥ half the healthy sharded throughput
@@ -37,20 +41,22 @@ Three claims of the ``repro.server`` architecture, measured and gated:
   the other ratio gates);
 * **observation is cheap** — the same sharded workload with the full
   telemetry surface on (metric counters on every layer, replay-stable
-  trace spans piggybacked on shard batch responses) keeps ≥ 0.9x the
+  trace spans, decision spans as columns on shard batch responses, the
+  tracer full and evicting in every timed wave) keeps ≥ 0.9x the
   unobserved sharded throughput (``serving_observed``; the ratio
   baselines run with ``observe=False`` so it isolates instrumentation
   overhead; soft-reported below 4 cores like the other ratio gates).
 
-Results land in ``BENCH_server.json`` at the repository root (uploaded
-as a CI artifact alongside ``BENCH_solver.json``).
+Results land in ``BENCH_server.json`` under ``BENCH_OUT_DIR`` when it
+is set (CI uploads it as an artifact alongside ``BENCH_solver.json``),
+else under pytest's temporary directory (see ``conftest.py``).
 """
 
 import asyncio
 import json
 import os
+import statistics
 import time
-from pathlib import Path
 
 import pytest
 
@@ -60,8 +66,6 @@ from repro.monad.policy import size_above
 from repro.server.gateway import DeclassificationServer, ServerConfig
 from repro.server.store import SQLiteStore
 from repro.service.api import CompileRequest
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_server.json"
 
 #: The 4-D ship-style space: past the region-oracle cap, so every compile
 #: pays the worklist/front machinery — a realistic "expensive query".
@@ -79,6 +83,11 @@ QUERIES = [
 
 SHARD_COUNTS = (1, 2, 4)
 SERVING_SHARDS = 4
+#: Steady-state sharded serving: 3 x 400 = 1200 warm-up downgrades fill
+#: the tracer (capacity 1024) before any wave is timed.
+WAVE_SESSIONS = 400
+WARMUP_WAVES = 3
+TIMED_WAVES = 7
 MIN_WARM_SPEEDUP = 3.0
 MIN_PARALLEL_EFFICIENCY = 0.55
 MIN_DEGRADED_FRACTION = 0.5
@@ -188,10 +197,20 @@ def test_batched_downgrade_throughput():
     print(f"\nserving: {served_rps:,.0f} downgrades/s in {batches} batch passes")
 
 
-async def _sharded_serving_scenario(
-    n_sessions: int, *, trip_shards=(), store=None, observe=False
-):
-    """One sharded serving run; optionally trip breakers before serving.
+def iqr(samples: list[float]) -> float:
+    """The distance between the quartiles of ``samples``."""
+    low, _, high = statistics.quantiles(samples, n=4, method="inclusive")
+    return high - low
+
+
+async def _sharded_serving_scenario(*, trip_shards=(), store=None, observe=False):
+    """One steady-state sharded serving run; returns its row.
+
+    Every session is opened up front; ``WARMUP_WAVES`` untimed waves
+    then warm the shards, the ledger and (observed) the tracer past its
+    capacity, and ``TIMED_WAVES`` timed waves follow.  Each wave is one
+    ``gather`` of ``WAVE_SESSIONS`` downgrades by sessions not asked
+    before.  Optionally trips breakers before serving.
 
     With *store* set, every request is write-ahead journaled to it —
     the ``serving_journaled`` configuration, identical except for the
@@ -216,6 +235,7 @@ async def _sharded_serving_scenario(
         ),
     )
     await server.register_query(CompileRequest(*QUERIES[0], SPEC))
+    n_sessions = (WARMUP_WAVES + TIMED_WAVES) * WAVE_SESSIONS
     rng_state = 7654321
     for i in range(n_sessions):
         rng_state = (1103515245 * rng_state + 12345) % (1 << 31)
@@ -237,37 +257,50 @@ async def _sharded_serving_scenario(
         # far past the run, so its users ride the degraded path.
         server.supervisor.breaker("serving", shard).trip(cooldown=3600.0)
     await server.start()
-    start = time.perf_counter()
-    results = await asyncio.gather(
-        *(server.downgrade(f"u{i}", QUERIES[0][0]) for i in range(n_sessions))
-    )
-    elapsed = time.perf_counter() - start
+    wave_rps = []
+    for wave in range(WARMUP_WAVES + TIMED_WAVES):
+        ids = range(wave * WAVE_SESSIONS, (wave + 1) * WAVE_SESSIONS)
+        start = time.perf_counter()
+        results = await asyncio.gather(
+            *(server.downgrade(f"u{i}", QUERIES[0][0]) for i in ids)
+        )
+        elapsed = time.perf_counter() - start
+        assert len(results) == WAVE_SESSIONS
+        assert all(r.authorized for r in results)
+        if wave >= WARMUP_WAVES:
+            wave_rps.append(WAVE_SESSIONS / elapsed)
     await server.stop()
-    degraded_batches = server.stats.degraded_batches
-    journaled = 0 if server.journal is None else len(server.journal)
+    if observe:
+        tracer = server.hub.tracer
+        assert len(tracer.trace_ids()) == tracer.capacity, "tracer never filled"
+    row = {
+        "sessions_per_wave": WAVE_SESSIONS,
+        "warmup_waves": WARMUP_WAVES,
+        "timed_waves": TIMED_WAVES,
+        "serving_shards": SERVING_SHARDS,
+        "served_rps": statistics.median(wave_rps),
+        "served_rps_iqr": iqr(wave_rps),
+        "wave_rps": wave_rps,
+        "degraded_batches": server.stats.degraded_batches,
+        "journal_entries": 0 if server.journal is None else len(server.journal),
+    }
     server.shutdown()
-    assert len(results) == n_sessions
-    assert all(r.authorized for r in results)
-    return n_sessions / elapsed, degraded_batches, journaled
+    return row
 
 
 def test_sharded_serving_throughput():
     """The serving-shard tier: downgrade batches on worker processes.
 
-    Measured and reported (not hard-gated: process startup dominates on
-    tiny CI boxes): the same downgrade workload as the tick-batching
-    benchmark, executed on four serving shards routed by user id.
+    Measured and reported (not hard-gated): the tick-batching workload
+    at steady state on four serving shards routed by user id — the base
+    row of the degraded, journaled and observed ratios.
     """
-    n_sessions = 200
-    served_rps, _, _ = asyncio.run(_sharded_serving_scenario(n_sessions))
-    RESULTS["serving_sharded"] = {
-        "sessions": n_sessions,
-        "serving_shards": SERVING_SHARDS,
-        "served_rps": served_rps,
-    }
+    row = asyncio.run(_sharded_serving_scenario())
+    del row["degraded_batches"], row["journal_entries"]
+    RESULTS["serving_sharded"] = row
     print(
-        f"\nsharded serving: {served_rps:,.0f} downgrades/s "
-        f"on {SERVING_SHARDS} shards"
+        f"\nsharded serving: {row['served_rps']:,.0f} downgrades/s "
+        f"on {SERVING_SHARDS} shards (median of {TIMED_WAVES} waves)"
     )
 
 
@@ -279,21 +312,13 @@ def test_degraded_serving_throughput():
     (≥ ``MIN_DEGRADED_FRACTION`` of healthy sharded throughput) only on
     ≥ 4-core runners, in the report test.
     """
-    n_sessions = 200
-    served_rps, degraded_batches, _ = asyncio.run(
-        _sharded_serving_scenario(n_sessions, trip_shards=(0,))
-    )
-    assert degraded_batches > 0, "no traffic rode the degraded path"
-    RESULTS["serving_degraded"] = {
-        "sessions": n_sessions,
-        "serving_shards": SERVING_SHARDS,
-        "shards_down": 1,
-        "served_rps": served_rps,
-        "degraded_batches": degraded_batches,
-    }
+    row = asyncio.run(_sharded_serving_scenario(trip_shards=(0,)))
+    assert row["degraded_batches"] > 0, "no traffic rode the degraded path"
+    del row["journal_entries"]
+    RESULTS["serving_degraded"] = {**row, "shards_down": 1}
     print(
-        f"\ndegraded serving: {served_rps:,.0f} downgrades/s with 1 of "
-        f"{SERVING_SHARDS} shards down ({degraded_batches} degraded batches)"
+        f"\ndegraded serving: {row['served_rps']:,.0f} downgrades/s with 1 of "
+        f"{SERVING_SHARDS} shards down ({row['degraded_batches']} degraded batches)"
     )
 
 
@@ -306,23 +331,17 @@ def test_journaled_serving_throughput(tmp_path):
     exists).  Reported always; gated at ≥ ``MIN_JOURNALED_FRACTION`` of
     the unjournaled sharded throughput on ≥ 4-core runners.
     """
-    n_sessions = 200
     with SQLiteStore(tmp_path / "journal.db") as store:
-        served_rps, _, journaled = asyncio.run(
-            _sharded_serving_scenario(n_sessions, store=store)
-        )
+        row = asyncio.run(_sharded_serving_scenario(store=store))
     # Every request made it into the journal: one configure, one
     # compile, one open per session, one downgrade per request.
-    assert journaled == 2 + 2 * n_sessions, "journal missed requests"
-    RESULTS["serving_journaled"] = {
-        "sessions": n_sessions,
-        "serving_shards": SERVING_SHARDS,
-        "served_rps": served_rps,
-        "journal_entries": journaled,
-    }
+    n_sessions = (WARMUP_WAVES + TIMED_WAVES) * WAVE_SESSIONS
+    assert row["journal_entries"] == 2 + 2 * n_sessions, "journal missed requests"
+    del row["degraded_batches"]
+    RESULTS["serving_journaled"] = row
     print(
-        f"\njournaled serving: {served_rps:,.0f} downgrades/s "
-        f"({journaled} journal entries)"
+        f"\njournaled serving: {row['served_rps']:,.0f} downgrades/s "
+        f"({row['journal_entries']} journal entries)"
     )
 
 
@@ -330,23 +349,18 @@ def test_observed_serving_throughput():
     """The full telemetry surface on, same workload: observation is cheap.
 
     Identical to ``serving_sharded`` except ``observe=True``: every
-    layer counts its decisions, the gateway derives trace ids for the
-    batch, and serving shards piggyback metric deltas and trace spans
-    on their batch responses.  Reported always; gated at
-    ≥ ``MIN_OBSERVED_FRACTION`` of the unobserved sharded throughput on
-    ≥ 4-core runners, in the report test.
+    layer counts its decisions, the gateway records each request's trace
+    (the tracer full and evicting by the first timed wave), and serving
+    shards piggyback metric deltas and span columns on their batch
+    responses.  Reported always; gated at ≥ ``MIN_OBSERVED_FRACTION``
+    of the unobserved sharded throughput on ≥ 4-core runners, in the
+    report test.
     """
-    n_sessions = 200
-    served_rps, _, _ = asyncio.run(
-        _sharded_serving_scenario(n_sessions, observe=True)
-    )
-    RESULTS["serving_observed"] = {
-        "sessions": n_sessions,
-        "serving_shards": SERVING_SHARDS,
-        "served_rps": served_rps,
-    }
+    row = asyncio.run(_sharded_serving_scenario(observe=True))
+    del row["degraded_batches"], row["journal_entries"]
+    RESULTS["serving_observed"] = row
     print(
-        f"\nobserved serving: {served_rps:,.0f} downgrades/s "
+        f"\nobserved serving: {row['served_rps']:,.0f} downgrades/s "
         f"with full telemetry on"
     )
 
@@ -414,7 +428,7 @@ def test_vectorized_fleet_throughput():
     )
 
 
-def test_report_and_gates():
+def test_report_and_gates(bench_out):
     assert set(SHARD_COUNTS) <= set(RESULTS), "run the whole module"
     cpu = os.cpu_count() or 1
 
@@ -528,11 +542,12 @@ def test_report_and_gates():
             "vectorized_skip_reason": vectorized_skip_reason,
         },
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    bench_path = bench_out / "BENCH_server.json"
+    bench_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(
         f"\nwarm/cold {warm_speedup:,.0f}x; 1→4 shards {scaling:.2f}x "
         f"on {cpu} core(s) (efficiency {efficiency:.2f}); "
-        f"wrote {BENCH_PATH.name}"
+        f"observed/sharded {observed_fraction:.2f}; wrote {bench_path}"
     )
 
     assert warm_speedup >= MIN_WARM_SPEEDUP, (

@@ -14,15 +14,15 @@ Two outputs:
   query (the ``test_service_throughput.py`` cold path) must stay at least
   ``MIN_COMPILE_SPEEDUP`` faster than the baseline path, and the kernel
   engine must synthesize domains identical to the interpreter engine;
-* ``BENCH_solver.json`` at the repository root — machine-readable
-  timings (ops/sec), search statistics (nodes, splits, vectorized
-  boxes), and speedups, seeding the performance trajectory.
+* ``BENCH_solver.json`` — machine-readable timings (ops/sec), search
+  statistics (nodes, splits, vectorized boxes), and speedups, seeding
+  the performance trajectory; written under ``BENCH_OUT_DIR`` when set,
+  else under pytest's temporary directory (see ``conftest.py``).
 """
 
 import json
 import statistics
 import time
-from pathlib import Path
 
 from repro.core.plugin import CompileOptions, compile_query
 from repro.core.synth import SynthOptions
@@ -37,8 +37,6 @@ from repro.solver.decide import (
     find_true_box,
     make_engine,
 )
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_solver.json"
 
 #: The paper's running example / B4-style Manhattan ball (section 2).
 SPEC = SecretSpec.declare("UserLoc", x=(0, 399), y=(0, 399))
@@ -247,7 +245,7 @@ def test_decision_procedures():
     )
 
 
-def test_write_bench_json():
+def test_write_bench_json(bench_out):
     """Persist the collected measurements (runs last by file order)."""
     assert _results["benchmarks"], "benchmarks did not run"
     payload = {
@@ -260,7 +258,8 @@ def test_write_bench_json():
         ),
         **_results,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {BENCH_PATH}")
+    bench_path = bench_out / "BENCH_solver.json"
+    bench_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"\nwrote {bench_path}")
     speedup = _results["benchmarks"]["cold_powerset_compile"]["speedup"]
     assert speedup >= MIN_COMPILE_SPEEDUP

@@ -4,9 +4,11 @@ A :class:`~repro.server.gateway.DeclassificationServer` owns exactly one
 :class:`MetricsHub`.  Gateway-side layers (journal, store, ledger,
 supervisor, session manager, edge) record straight into
 ``hub.registry`` / ``hub.tracer``; serving-shard processes record into
-their own process-local registry+tracer and piggyback a drained
+their own process-local registry and piggyback a drained
 :meth:`report <repro.obs.metrics.MetricsRegistry.drain>` on every batch
-response, which the gateway folds with :meth:`MetricsHub.absorb`.
+response, which the gateway folds with :meth:`MetricsHub.absorb`
+(their decision spans come home as columns the gateway records under
+its own root spans).
 
 The hub also keeps a bounded idempotency-key → trace-id map so the HTTP
 edge's access log can stamp each request line with the trace the
@@ -23,6 +25,7 @@ compares against.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from typing import Any, Mapping
 
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
@@ -51,19 +54,20 @@ class MetricsHub:
             self.tracer = NULL_TRACER
         self._key_capacity = key_capacity
         self._key_lock = threading.Lock()
-        self._key_traces: dict[str, str] = {}
+        self._key_traces: OrderedDict[str, str] = OrderedDict()
 
     # -- shard piggyback ---------------------------------------------------
     def absorb(self, obs: Mapping[str, Any] | None) -> None:
-        """Fold one batch response's ``obs`` fragment (metrics + spans)."""
+        """Fold one batch response's ``obs`` metric deltas.
+
+        The fragment's span columns name the gateway's own root spans,
+        so the gateway records those itself.
+        """
         if not obs or not self.enabled:
             return
         metrics = obs.get("metrics")
         if metrics:
             self.registry.absorb(metrics)
-        spans = obs.get("spans")
-        if spans:
-            self.tracer.absorb(spans)
 
     # -- idempotency-key → trace-id map ------------------------------------
     def bind_key(self, key: str | None, trace_id: str) -> None:
@@ -74,7 +78,7 @@ class MetricsHub:
             if key not in self._key_traces and (
                 len(self._key_traces) >= self._key_capacity
             ):
-                self._key_traces.pop(next(iter(self._key_traces)))
+                self._key_traces.popitem(last=False)  # O(1), oldest first
             self._key_traces[key] = trace_id
 
     def trace_for_key(self, key: str | None) -> str | None:

@@ -169,14 +169,21 @@ class _HistogramChild(_Child):
         self.count = 0
         self._reported_state: tuple[list[int], float, int] | None = None
 
-    def observe(self, value: float) -> None:
-        """Record one observation; sum/count/bucket move atomically."""
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value``; sum/count/bucket
+        move atomically.
+
+        One call stands for ``count`` single observes: the sum grows by
+        ``value * count``, which is exactly their running sum whenever
+        every partial sum is an integer below 2**53 (cell counts, batch
+        sizes).
+        """
         instrument = self._instrument
         index = bisect_left(instrument.bounds, value)
         with instrument._lock:
-            self.buckets[index] += 1
-            self.sum += value
-            self.count += 1
+            self.buckets[index] += count
+            self.sum += value * count
+            self.count += count
 
     def inc(self, amount: float = 1.0) -> None:  # pragma: no cover - guard
         raise TypeError("histograms record via observe(), not inc()")
@@ -291,9 +298,9 @@ class Histogram(Instrument):
             raise ValueError(f"{name}: bucket bounds must strictly increase")
         super().__init__(registry, name, help, labelnames, channel)
 
-    def observe(self, value: float) -> None:
-        """Record one observation on the unlabeled series."""
-        self._require_default().observe(value)
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations on the unlabeled series."""
+        self._require_default().observe(value, count)
 
 
 class MetricsRegistry:
@@ -600,7 +607,7 @@ class _NullSeries:
     def add(self, amount: float) -> None:
         """Drop the record."""
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
         """Drop the record."""
 
     @property

@@ -11,7 +11,9 @@ the journal (:mod:`repro.server.journal`):
   name, and per-parent occurrence index (:func:`span_id_for`).  No wall
   clock, no randomness — so re-executing a journal
   (:class:`~repro.server.replay.ReplaySession`) reproduces the same
-  ids.
+  ids.  Span ids are pure, so they are derived lazily: recording keeps
+  the inputs and digests them on first read (trees, digests, dumps),
+  which keeps hashing off the serving path.
 * **the canonical tree excludes transport.**  Spans carry a
   ``transport`` flag: gateway↔shard submission and the per-tick mirror
   fold are real timeline events worth showing an operator, but a
@@ -28,10 +30,12 @@ the journal (:mod:`repro.server.journal`):
   tests/obs/test_secret_independence.py holds trace trees to the same
   bit-identity standard as ``decision``-channel metrics.
 
-Spans cross the gateway→shard process boundary inside the existing JSON
-job payloads (a ``traces`` fragment on ``downgrade_batch`` ops) and ride
-home encoded by :meth:`Span.to_json` in the batch response's ``obs``
-piggyback, where the gateway's tracer :meth:`~Tracer.absorb` s them.
+Serving shards record no spans themselves: a ``downgrade_batch`` op
+names which of its sessions are traced, the reply carries the decision
+attributes of those sessions as per-span-name columns, and the gateway
+records them as children of its own root spans (DESIGN.md §13).
+:meth:`Span.to_json` / :meth:`Tracer.absorb` carry finished spans with
+explicit ids between tracers (the replay generation fold).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, field
+from collections import OrderedDict
 from typing import Any, Iterable, Mapping
 
 __all__ = [
@@ -73,21 +77,90 @@ def span_id_for(trace_id: str, parent_id: str | None, name: str, index: int) -> 
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
 class Span:
     """One finished span.  Identity fields are deterministic; ``elapsed``
-    is wall-clock and excluded from the canonical tree."""
+    is wall-clock and excluded from the canonical tree.
 
-    trace_id: str
-    span_id: str
-    parent_id: str | None
-    name: str
-    attrs: Mapping[str, Any] = field(default_factory=dict)
-    transport: bool = False
-    elapsed: float = 0.0
+    The id is derived on first read: a span recorded by :class:`Tracer`
+    keeps ``(trace_id, parent, name, index)`` and digests them with
+    :func:`span_id_for` only when ``span_id`` (or a child's
+    ``parent_id``) is read.  ``parent`` is the parent :class:`Span`
+    itself or, for spans decoded from elsewhere, its id string.
+    """
+
+    __slots__ = (
+        "trace_id", "name", "attrs", "transport", "elapsed", "index",
+        "_parent", "_span_id",
+    )
+
+    def __init__(
+        self,
+        trace_id: str,
+        span_id: str | None = None,
+        parent_id: "Span | str | None" = None,
+        name: str = "",
+        attrs: Mapping[str, Any] | None = None,
+        transport: bool = False,
+        elapsed: float = 0.0,
+        index: int = 0,
+    ):
+        self.trace_id = trace_id
+        self.name = name
+        self.attrs = {} if attrs is None else attrs
+        self.transport = transport
+        self.elapsed = elapsed
+        #: Occurrence index among same-named siblings (0 when decoded).
+        self.index = index
+        self._parent = parent_id
+        self._span_id = span_id
+
+    @property
+    def span_id(self) -> str:
+        """This span's id, digested on first read."""
+        if self._span_id is None:
+            self._span_id = span_id_for(
+                self.trace_id, self.parent_id, self.name, self.index
+            )
+        return self._span_id
+
+    @property
+    def parent_id(self) -> str | None:
+        """The parent's id (``None`` for a root)."""
+        parent = self._parent
+        return parent.span_id if isinstance(parent, Span) else parent
+
+    def _fields(self) -> tuple:
+        return (
+            self.trace_id,
+            self.span_id,
+            self.parent_id,
+            self.name,
+            dict(self.attrs),
+            self.transport,
+            self.elapsed,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Span):
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        # Equal spans share trace and name; hashing on them keeps a span
+        # usable as a dict key (the tracer's per-parent counters) without
+        # digesting its id.
+        return hash((self.trace_id, self.name))
+
+    def __repr__(self) -> str:
+        return (
+            f"Span(trace_id={self.trace_id!r}, span_id={self.span_id!r}, "
+            f"parent_id={self.parent_id!r}, name={self.name!r}, "
+            f"attrs={dict(self.attrs)!r}, transport={self.transport!r}, "
+            f"elapsed={self.elapsed!r})"
+        )
 
     def to_json(self) -> dict[str, Any]:
-        """Encode for the shard→gateway piggyback."""
+        """Encode with explicit ids (the replay generation fold)."""
         return {
             "trace_id": self.trace_id,
             "span_id": self.span_id,
@@ -123,10 +196,12 @@ class Tracer:
     def __init__(self, capacity: int = 1024):
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._spans: dict[str, list[Span]] = {}
-        #: Per-trace span-index counters, keyed ``(parent_id, name)``, so
+        #: Ordered oldest first; ``popitem(last=False)`` evicts in O(1),
+        #: where ``next(iter(dict))`` would scan past deleted slots.
+        self._spans: OrderedDict[str, list[Span]] = OrderedDict()
+        #: Per-trace span-index counters, keyed ``(parent, name)``, so
         #: evicting a trace drops its counters in O(1).
-        self._indices: dict[str, dict[tuple[str | None, str], int]] = {}
+        self._indices: dict[str, dict[tuple[Any, str], int]] = {}
 
     def __bool__(self) -> bool:
         return True
@@ -137,12 +212,18 @@ class Tracer:
         trace_id: str,
         name: str,
         *,
-        parent_id: str | None = None,
+        parent_id: Span | str | None = None,
         transport: bool = False,
         elapsed: float = 0.0,
         **attrs: Any,
     ) -> Span:
-        """Finish one span now; returns it (its id names it as a parent)."""
+        """Finish one span now and return it.
+
+        A child names its parent by the parent's :class:`Span` (its id is
+        then derived only when read); an id string works too, but name
+        one parent one way, since the per-parent occurrence index is
+        counted per form.  Recording computes no digest.
+        """
         with self._lock:
             counters = self._indices.get(trace_id)
             if counters is None:
@@ -151,13 +232,7 @@ class Tracer:
             index = counters.get(index_key, 0)
             counters[index_key] = index + 1
             span = Span(
-                trace_id=trace_id,
-                span_id=span_id_for(trace_id, parent_id, name, index),
-                parent_id=parent_id,
-                name=name,
-                attrs=attrs,
-                transport=transport,
-                elapsed=elapsed,
+                trace_id, None, parent_id, name, attrs, transport, elapsed, index
             )
             self._store(span)
             return span
@@ -172,8 +247,7 @@ class Tracer:
         bucket = self._spans.get(span.trace_id)
         if bucket is None:
             if len(self._spans) >= self.capacity:
-                oldest = next(iter(self._spans))
-                del self._spans[oldest]
+                oldest, _ = self._spans.popitem(last=False)
                 self._indices.pop(oldest, None)
             bucket = self._spans[span.trace_id] = []
         bucket.append(span)

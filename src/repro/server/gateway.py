@@ -88,6 +88,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -104,7 +105,7 @@ from repro.monad.anosy import DowngradeInvariantError
 from repro.monad.policy import QuantitativePolicy
 from repro.monad.protected import ProtectedSecret
 from repro.obs.hub import MetricsHub
-from repro.obs.trace import span_id_for, trace_id_for
+from repro.obs.trace import Span, trace_id_for
 from repro.server import faults
 from repro.server.faults import FaultPlan
 from repro.server.journal import RequestJournal, live_state
@@ -117,6 +118,7 @@ from repro.server.workers import (
     compile_payload,
     result_kind,
     rounds_by_user,
+    span_rows,
 )
 from repro.service.api import (
     BatchDowngradeRequest,
@@ -314,9 +316,10 @@ class _PendingDowngrade:
     #: Set once the entry is appended; guards against double appends
     #: when a waiter is requeued by a cancelled flush.
     journal_seq: int | None = None
-    #: Deterministic trace id (journaled: derived from key + seq at
-    #: append time; unjournaled: from a local monotone counter).
-    trace_id: str | None = None
+    #: Root span of the request's trace, whose deterministic trace id is
+    #: derived from key + seq at append time (journaled) or from a local
+    #: monotone counter (unjournaled).  Decision spans name it as parent.
+    root: Span | None = None
 
 
 def _compile_outcome(receipt: ServerCompileReceipt) -> dict[str, Any]:
@@ -1140,7 +1143,7 @@ class DeclassificationServer:
             entries = self.journal.begin_many(items)
             for (pending, query_name), entry in zip(pendings, entries):
                 pending.journal_seq = entry.seq
-                if self.hub.enabled and pending.trace_id is None:
+                if self.hub.enabled and pending.root is None:
                     self._assign_trace(
                         pending,
                         query_name,
@@ -1388,9 +1391,12 @@ class DeclassificationServer:
                     "query_name": query_name,
                     "session_ids": [p.session_id for p in shard_waiters],
                 }
-                traces = self._traces_for(shard_waiters)
-                if traces is not None:
-                    op["traces"] = traces
+                if self.hub.enabled:
+                    traced = [
+                        i for i, p in enumerate(shard_waiters) if p.root is not None
+                    ]
+                    if traced:
+                        op["traced"] = traced
                 ops.append(op)
             submit_start = time.perf_counter()
             response = ServingShardPool.decode(
@@ -1398,19 +1404,28 @@ class DeclassificationServer:
             )
             if self.hub.enabled:
                 elapsed = time.perf_counter() - submit_start
-                self.hub.absorb(response.get("obs"))
+                obs = response.get("obs") or {}
+                self.hub.absorb(obs)
+                # Shard decision spans arrive as columns, one set per
+                # downgrade_batch op; each row hangs off its waiter's root.
+                for (_name, shard_waiters), columns in zip(
+                    groups, obs.get("spans", ())
+                ):
+                    for at, name, attrs in span_rows(columns):
+                        root = shard_waiters[at].root
+                        self.hub.tracer.record(
+                            root.trace_id, name, parent_id=root, **attrs
+                        )
                 # Transport spans: real timeline events for an operator,
                 # excluded from the canonical tree (a replay twin serves
                 # inline and never emits them).
                 for _name, shard_waiters in groups:
                     for pending in shard_waiters:
-                        if pending.trace_id is not None:
+                        if pending.root is not None:
                             self.hub.tracer.record(
-                                pending.trace_id,
+                                pending.root.trace_id,
                                 "shard_roundtrip",
-                                parent_id=span_id_for(
-                                    pending.trace_id, None, "downgrade", 0
-                                ),
+                                parent_id=pending.root,
                                 transport=True,
                                 elapsed=elapsed,
                                 shard=shard,
@@ -1504,7 +1519,7 @@ class DeclassificationServer:
         compiled,
         ids: list[str],
         results: dict[str, DowngradeResult],
-        traces: dict[str, dict[str, str]] | None = None,
+        traces: dict[str, Span] | None = None,
     ) -> None:
         admitted: list[str] = []
         checked: list[str] = []
@@ -1597,7 +1612,7 @@ class DeclassificationServer:
             ).set(retry_after)
 
     def _count_results(self, results: Any) -> None:
-        """Tally resolved downgrade results by outcome kind."""
+        """Tally resolved downgrade results by outcome kind (once per kind)."""
         registry = self.hub.registry
         if not registry:
             return
@@ -1606,8 +1621,8 @@ class DeclassificationServer:
             "Downgrade results resolved, by outcome kind.",
             labels=("kind",),
         )
-        for result in results:
-            counter.labels(kind=result_kind(result)).inc()
+        for kind, count in Counter(map(result_kind, results)).items():
+            counter.labels(kind=kind).inc(count)
 
     def _observe_tick(self, started: float, sessions: int) -> None:
         """Record one non-empty flush tick's latency and batch size."""
@@ -1628,42 +1643,43 @@ class DeclassificationServer:
         self, pending: _PendingDowngrade, query_name: str, trace_id: str
     ) -> None:
         """Pin a waiter to its trace and record the root span."""
-        pending.trace_id = trace_id
+        tracer = self.hub.tracer
         self.hub.bind_key(pending.journal_key, trace_id)
-        self.hub.tracer.record(
+        root = tracer.record(
             trace_id, "downgrade", session=pending.session_id, query=query_name
         )
+        if root.index:
+            # A journal entry re-begun after a failed flush roots its trace
+            # again; its decision spans still hang off the first root.
+            root = next(
+                span
+                for span in tracer.spans(trace_id)
+                if span.name == "downgrade" and span.index == 0
+                and span.parent_id is None
+            )
+        pending.root = root
 
     def _traces_for(
         self, waiters: list[_PendingDowngrade]
-    ) -> dict[str, dict[str, str]] | None:
-        """The session → trace fragment for one batch (None when dark)."""
+    ) -> dict[str, Span] | None:
+        """The session → root-span map of one batch (None when dark)."""
         if not self.hub.enabled:
             return None
-        traces = {
-            p.session_id: {
-                "trace_id": p.trace_id,
-                "parent": span_id_for(p.trace_id, None, "downgrade", 0),
-            }
-            for p in waiters
-            if p.trace_id is not None
-        }
+        traces = {p.session_id: p.root for p in waiters if p.root is not None}
         return traces or None
 
     def _trace_span(
         self,
-        traces: dict[str, dict[str, str]] | None,
+        traces: dict[str, Span] | None,
         sid: str,
         name: str,
         **attrs: Any,
     ) -> None:
-        """Record one gateway-local decision span (mirrors the shard path)."""
-        info = None if traces is None else traces.get(sid)
-        if info is None:
-            return
-        self.hub.tracer.record(
-            info["trace_id"], name, parent_id=info["parent"], **attrs
-        )
+        """Record one gateway-local decision span under its root."""
+        root = None if traces is None else traces.get(sid)
+        if root is not None:
+            self.hub.tracer.record(root.trace_id, name, parent_id=root, **attrs)
+
 
     def refresh_gauges(self) -> None:
         """Refresh scrape-time gauges (queue depth, health, stat mirror).

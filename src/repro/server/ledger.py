@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import threading
 import weakref
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Iterator, Protocol
 
@@ -298,7 +299,7 @@ class PrivacyBudgetLedger:
             weakref.WeakValueDictionary()
         )
         #: Identity-keyed transitions: key -> (pinned inputs, value).
-        self._memo: dict[tuple, tuple[tuple, Any]] = {}
+        self._memo: OrderedDict[tuple, tuple[tuple, Any]] = OrderedDict()
         self._memo_capacity = _MEMO_CAPACITY
         if store is not None:
             for user_id, spec_name, payload in list(store.ledger_bounds()):
@@ -331,21 +332,21 @@ class PrivacyBudgetLedger:
             return spec.space_size() if bound is None else bound.size()
 
     # -- admission -----------------------------------------------------------
-    def _count_refusal(self, kind: str = "budget") -> None:
+    def _count_refusal(self, refused: int = 1) -> None:
         if self.metrics:
             self.metrics.counter(
                 "anosy_ledger_refusals_total",
                 "Ledger admission refusals by kind.",
                 labels=("kind",),
-            ).labels(kind=kind).inc()
+            ).labels(kind="budget").inc(refused)
 
-    def _observe_remaining(self, remaining: int) -> None:
+    def _observe_remaining(self, remaining: int, count: int = 1) -> None:
         if self.metrics:
             self.metrics.histogram(
                 "anosy_ledger_remaining_cells",
                 "Sound-bound size (cells) at admission time.",
                 channel="declassified",
-            ).observe(float(remaining))
+            ).observe(float(remaining), count)
 
     def preauthorize(
         self, user_id: str, qinfo: QInfo, *, mode: str = "under"
@@ -376,8 +377,9 @@ class PrivacyBudgetLedger:
 
         Per-user decisions are identical to calling :meth:`preauthorize`
         for each user — same reasons, same ``remaining``, one refusal
-        tallied per refused user — but whole fleets sharing a bound (the
-        common case: fresh users all sit at the full space) cost one
+        tallied per refused user, the same metric snapshot (recorded
+        once per batch, not per user) — but whole fleets sharing a bound
+        (the common case: fresh users all sit at the full space) cost one
         memo lookup, and only bounds the memo misses pay a posterior
         intersection and one vectorized bound-size check.  Bounds are
         interned, so users are grouped by bound identity, not by hashing
@@ -408,9 +410,20 @@ class PrivacyBudgetLedger:
                         self._decision(allowed, prior, qinfo),
                     )
             decisions: dict[str, LedgerDecision] = {}
+            refused = 0
             for account, prior in zip(accounts, priors):
                 decision = decisions[account.user_id] = by_prior[id(prior)]
-                self._tally(account, decision)
+                if not decision.allowed:
+                    account.refusals += 1
+                    refused += 1
+            # Telemetry once per batch: one observation per distinct
+            # remaining size (with its count), one refusal increment.
+            if self.metrics:
+                sizes = Counter(d.remaining for d in decisions.values())
+                for size, count in sizes.items():
+                    self._observe_remaining(size, count)
+                if refused:
+                    self._count_refusal(refused)
             return decisions
 
     # -- charging ------------------------------------------------------------
@@ -651,7 +664,7 @@ class PrivacyBudgetLedger:
         """Store ``value`` under ``key``, pinning ``pins``; FIFO-bounded."""
         memo = self._memo
         if key not in memo and len(memo) >= self._memo_capacity:
-            del memo[next(iter(memo))]
+            memo.popitem(last=False)  # O(1): an OrderedDict, oldest first
         memo[key] = (pins, value)
         return value
 

@@ -56,7 +56,7 @@ import os
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from repro.core.plugin import CompiledQuery, CompileOptions, QueryRegistry, compile_query
 from repro.lang.ast import BoolExpr
@@ -73,7 +73,6 @@ from repro.lang.secrets import SecretSpec
 from repro.monad.anosy import DowngradeInvariantError
 from repro.monad.protected import ProtectedSecret
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.obs.trace import Span, span_id_for
 from repro.server import faults
 from repro.server.ledger import DecayPolicy, PrivacyBudgetLedger
 from repro.server.supervise import CodecError, classify_failure
@@ -102,6 +101,7 @@ __all__ = [
     "serve_shard_of",
     "rounds_by_user",
     "result_kind",
+    "span_rows",
 ]
 
 
@@ -269,13 +269,11 @@ class _ServingShard:
         decay = data.get("decay")
         #: Process-local telemetry: a real registry when the gateway's
         #: ``configure`` op asked for observation, else the null registry.
-        #: Drained counters/spans ride home on every batch response
-        #: (``obs`` piggyback) and fold into the gateway's hub.
+        #: Drained counters ride home on every batch response (``obs``
+        #: piggyback) and fold into the gateway's hub.
         self.metrics: Any = (
             MetricsRegistry() if data.get("observe") else NULL_REGISTRY
         )
-        #: Spans finished since the last piggyback drain.
-        self.spans: list[Span] = []
         self.manager = SessionManager(
             registry=QueryRegistry(),
             policy=policy,
@@ -336,27 +334,32 @@ class _ServingShard:
         self,
         query_name: str,
         session_ids: list[str],
-        traces: dict[str, Any] | None = None,
-    ) -> tuple[list[DowngradeResult], list[dict[str, Any]], int]:
+        traced: list[int] | None = None,
+    ) -> tuple[
+        list[DowngradeResult], list[dict[str, Any]], int, dict[str, dict[str, list]]
+    ]:
         """One query for this shard's slice of a tick.
 
         Ledger admission, batched session downgrades, and commits all
         run shard-locally under the round-per-user discipline
         (:func:`rounds_by_user`).  Returns results in request order, the
-        ledger-delta payloads for every (user, spec) committed, and the
-        number of budget refusals.  ``traces`` (session id →
-        ``{"trace_id", "parent"}``) names the trace each session's
-        decision spans belong to; spans buffer on :attr:`spans` for the
-        response piggyback.
+        ledger-delta payloads for every (user, spec) committed, the
+        number of budget refusals, and the decision spans of the traced
+        sessions (``traced``: positions in ``session_ids``) as columns:
+        ``{name: {"at": [position, ...], attr: [value, ...]}}``, row
+        ``i`` being the ``name`` span of ``session_ids[at[i]]``.  The
+        gateway records them under its root spans; the shard derives no
+        ids.
         """
         ids = list(dict.fromkeys(session_ids))
         compiled = self.manager.registry.lookup(query_name)
         results: dict[str, DowngradeResult] = {}
         touched: dict[tuple[str, str], SecretSpec] = {}
+        spans = _SpanColumns(session_ids, traced) if traced else None
         refusals = 0
         for round_ids in rounds_by_user(ids, self.users):
             refusals += self._serve_round(
-                query_name, compiled, round_ids, results, touched, traces
+                query_name, compiled, round_ids, results, touched, spans
             )
         deltas = [
             {
@@ -367,36 +370,8 @@ class _ServingShard:
             for (user_id, spec_name), spec in touched.items()
             if self.ledger is not None
         ]
-        return [results[sid] for sid in ids], deltas, refusals
-
-    def _span(
-        self,
-        sid: str,
-        traces: dict[str, Any] | None,
-        name: str,
-        **attrs: Any,
-    ) -> None:
-        """Buffer one decision span for a traced session (else no-op).
-
-        Span attributes here carry only secret-independent facts: under
-        the pair-checked discipline (``check_both=True``) admission
-        ``allowed`` and serve ``authorized``/``kind`` are decided on both
-        potential posteriors, never on the response.
-        """
-        info = None if traces is None else traces.get(sid)
-        if info is None:
-            return
-        trace_id = info["trace_id"]
-        parent = info.get("parent")
-        self.spans.append(
-            Span(
-                trace_id=trace_id,
-                span_id=span_id_for(trace_id, parent, name, 0),
-                parent_id=parent,
-                name=name,
-                attrs=attrs,
-            )
-        )
+        columns = {} if spans is None else spans.columns
+        return [results[sid] for sid in ids], deltas, refusals, columns
 
     def _serve_round(
         self,
@@ -405,7 +380,7 @@ class _ServingShard:
         ids: list[str],
         results: dict[str, DowngradeResult],
         touched: dict[tuple[str, str], SecretSpec],
-        traces: dict[str, Any] | None = None,
+        spans: "_SpanColumns | None" = None,
     ) -> int:
         refusals = 0
         admitted: list[str] = []
@@ -420,9 +395,8 @@ class _ServingShard:
                     reason=f"no open session {sid!r}",
                     knowledge_size=None,
                 )
-                self._span(
-                    sid, traces, "serve", authorized=False, kind="unknown_session"
-                )
+                if spans is not None:
+                    spans.add(sid, "serve", authorized=False, kind="unknown_session")
             else:
                 present.append(sid)
         if self.ledger is None or compiled is None:
@@ -436,7 +410,8 @@ class _ServingShard:
             )
             for sid in present:
                 decision = ledger_decisions[users[sid]]
-                self._span(sid, traces, "admission", allowed=decision.allowed)
+                if spans is not None:
+                    spans.add(sid, "admission", allowed=decision.allowed)
                 if decision.allowed:
                     admitted.append(sid)
                 else:
@@ -466,13 +441,13 @@ class _ServingShard:
                 reason=decision.reason,
                 knowledge_size=session.knowledge_size() if session else None,
             )
-            self._span(
-                sid,
-                traces,
-                "serve",
-                authorized=decision.authorized,
-                kind=result_kind(results[sid]),
-            )
+            if spans is not None:
+                spans.add(
+                    sid,
+                    "serve",
+                    authorized=decision.authorized,
+                    kind=result_kind(results[sid]),
+                )
             if decision.authorized and self.ledger is not None and compiled:
                 if decision.response is None:
                     raise DowngradeInvariantError(
@@ -493,6 +468,49 @@ class _ServingShard:
         return refusals
 
 
+class _SpanColumns:
+    """The decision spans of one batch's traced sessions, in columns.
+
+    Span attributes here carry only secret-independent facts: under the
+    pair-checked discipline (``check_both=True``) admission ``allowed``
+    and serve ``authorized``/``kind`` are decided on both potential
+    posteriors, never on the response.  Every span of one name carries
+    the same attribute keys.
+    """
+
+    def __init__(self, session_ids: list[str], traced: list[int]):
+        #: Session id → its position in the op (the last traced one).
+        self.at = {session_ids[i]: i for i in traced}
+        self.columns: dict[str, dict[str, list]] = {}
+
+    def add(self, sid: str, name: str, **attrs: Any) -> None:
+        """Append one span row for a traced session (else no-op)."""
+        at = self.at.get(sid)
+        if at is None:
+            return
+        column = self.columns.get(name)
+        if column is None:
+            column = self.columns[name] = {"at": [], **{key: [] for key in attrs}}
+        column["at"].append(at)
+        for key, value in attrs.items():
+            column[key].append(value)
+
+
+def span_rows(
+    columns: dict[str, dict[str, list]],
+) -> Iterator[tuple[int, str, dict[str, Any]]]:
+    """Decode one op's span columns into ``(position, name, attrs)`` rows.
+
+    ``columns`` is one entry of a batch reply's ``obs["spans"]`` (see
+    :meth:`_ServingShard.serve_batch`); ``position`` indexes the op's
+    ``session_ids``.
+    """
+    for name, column in columns.items():
+        attrs = [(key, values) for key, values in column.items() if key != "at"]
+        for row, at in enumerate(column["at"]):
+            yield at, name, {key: values[row] for key, values in attrs}
+
+
 #: Per-process serving state, keyed by ``"<pool>/<shard>"``.  In a real
 #: shard process exactly one key is ever populated; inline mode (tests,
 #: single-core) holds every shard's state in the gateway process, and the
@@ -507,7 +525,9 @@ def serve_payload(payload: str) -> str:
     ``open_session`` / ``close_session`` / ``advance_epoch`` /
     ``downgrade_batch`` — and the response carries the encoded results
     of every ``downgrade_batch`` op, the ledger deltas to persist, the
-    budget-refusal count, and worker provenance (pid).
+    budget-refusal count, worker provenance (pid) and, when observed,
+    an ``obs`` fragment: drained metric deltas and one span-column set
+    per ``downgrade_batch`` op (:meth:`_ServingShard.serve_batch`).
     """
     data = json.loads(payload)
     faults.install_from_payload(data.get("faults"))
@@ -535,7 +555,7 @@ def serve_payload(payload: str) -> str:
             downgrades.append(op)
             outputs.append(
                 shard.serve_batch(
-                    op["query_name"], op["session_ids"], op.get("traces")
+                    op["query_name"], op["session_ids"], op.get("traced")
                 )
             )
         else:
@@ -549,19 +569,16 @@ def serve_payload(payload: str) -> str:
         # (idempotent intersections) or is refused by admission because
         # the first run already charged them; the ledger lands in the
         # same state either way.
+        # The re-run traces nothing: its spans would double every child
+        # in the gateway's trace tree.
         shard = _SERVING_STATE[shard_key]
-        # The re-run's spans carry the same deterministic ids as the
-        # first delivery's; keeping them would double every child in the
-        # absorbed trace tree, so they are discarded with the outputs.
-        span_mark = len(shard.spans)
         for op in downgrades:
             shard.serve_batch(op["query_name"], op["session_ids"])
-        del shard.spans[span_mark:]
     faults.maybe_crash("serve", "crash_after_commit")
     results: list[dict[str, Any]] = []
     deltas: list[dict[str, Any]] = []
     refusals = 0
-    for batch_results, batch_deltas, batch_refusals in outputs:
+    for batch_results, batch_deltas, batch_refusals, _ in outputs:
         results.extend(downgrade_result_to_json(result) for result in batch_results)
         deltas.extend(batch_deltas)
         refusals += batch_refusals
@@ -572,13 +589,14 @@ def serve_payload(payload: str) -> str:
         "pid": os.getpid(),
     }
     shard = _SERVING_STATE.get(shard_key)
-    if shard is not None and (shard.metrics or shard.spans):
+    spans = [columns for *_, columns in outputs]
+    if shard is not None and (shard.metrics or any(spans)):
         obs: dict[str, Any] = {}
         if shard.metrics:
             obs["metrics"] = shard.metrics.drain()
-        if shard.spans:
-            obs["spans"] = [span.to_json() for span in shard.spans]
-            shard.spans = []
+        if any(spans):
+            # One column set per downgrade_batch op, in op order.
+            obs["spans"] = spans
         body["obs"] = obs
     response = json.dumps(body)
     return faults.maybe_corrupt("serve", response)

@@ -10,6 +10,8 @@ round-trips through the small parser in tests/obs/prom.py.
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from prom import parse_exposition
 
 from repro.obs.metrics import (
@@ -62,6 +64,37 @@ def test_observation_on_boundary_is_inclusive():
     assert samples[("h_bucket", frozenset({("le", "10")}))] == 2
     assert samples[("h_bucket", frozenset({("le", "100")}))] == 3
     assert samples[("h_bucket", frozenset({("le", "+Inf")}))] == 4
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    batch=st.lists(
+        st.tuples(st.integers(0, 2**40), st.integers(0, 50)), max_size=12
+    )
+)
+def test_counted_observe_equals_repeated_observes(batch):
+    """``observe(v, count=n)`` is n single observes: same snapshot, same
+    exposition bytes, same drained deltas (integer values, as the
+    per-batch cell-count aggregates record)."""
+    counted, single = MetricsRegistry(), MetricsRegistry()
+    for registry in (counted, single):
+        registry.histogram("cells", channel="declassified")
+        registry.histogram("labeled", labels=("kind",)).labels(kind="a")
+    for value, count in batch:
+        counted.histogram("cells", channel="declassified").observe(
+            float(value), count=count
+        )
+        counted.histogram("labeled", labels=("kind",)).labels(kind="a").observe(
+            float(value), count
+        )
+        for _ in range(count):
+            single.histogram("cells", channel="declassified").observe(float(value))
+            single.histogram("labeled", labels=("kind",)).labels(kind="a").observe(
+                float(value)
+            )
+    assert counted.snapshot() == single.snapshot()
+    assert counted.exposition() == single.exposition()
+    assert counted.drain() == single.drain()
 
 
 def test_default_buckets_follow_channel():

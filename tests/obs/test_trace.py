@@ -1,8 +1,19 @@
 """The replay-stable tracer: derived ids, canonical trees, digests."""
 
+import asyncio
+import hashlib
 import json
 import time
+from concurrent.futures.process import BrokenProcessPool
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.obs.trace as trace_module
+from repro.core.plugin import CompileOptions
+from repro.lang.secrets import SecretSpec
+from repro.monad.policy import size_above
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -11,6 +22,12 @@ from repro.obs.trace import (
     span_id_for,
     trace_id_for,
 )
+from repro.server import faults
+from repro.server.faults import FaultPlan, FaultSpec
+from repro.server.gateway import DeclassificationServer, ServerConfig
+from repro.server.journal import RequestJournal
+from repro.server.store import SQLiteStore
+from repro.service.api import CompileRequest
 
 
 def test_ids_are_deterministic_digests():
@@ -160,3 +177,157 @@ def test_record_cost_stays_flat_past_capacity():
     slowest_last = max(last for _, last in samples)
     slowest_first = max(first for first, _ in samples)
     assert slowest_last <= 3 * slowest_first, samples
+
+
+class _CountingHashlib:
+    """Stands in for ``hashlib`` inside the tracer module, counting digests."""
+
+    def __init__(self, real):
+        self.real = real
+        self.calls = 0
+
+    def sha256(self, *args):
+        self.calls += 1
+        return self.real.sha256(*args)
+
+
+def test_record_computes_no_digest_until_a_read(monkeypatch):
+    tids = [trace_id_for("k", seq) for seq in range(3)]
+    derived = []
+    real_span_id_for = trace_module.span_id_for
+
+    def counting_span_id_for(*args):
+        derived.append(args)
+        return real_span_id_for(*args)
+
+    hashing = _CountingHashlib(hashlib)
+    monkeypatch.setattr(trace_module, "span_id_for", counting_span_id_for)
+    monkeypatch.setattr(trace_module, "hashlib", hashing)
+
+    tracer = Tracer(capacity=2)
+    for tid in tids:  # the third trace evicts the first
+        root = tracer.record(tid, "downgrade", session="s1")
+        admission = tracer.record(tid, "admission", parent_id=root, allowed=True)
+        tracer.record(tid, "serve", parent_id=root, authorized=True, kind="ok")
+        tracer.record(tid, "note", parent_id=admission)
+        tracer.record(tid, "shard_roundtrip", parent_id=root, transport=True)
+    assert derived == [] and hashing.calls == 0
+
+    tracer.tree(tids[-1])
+    assert derived and hashing.calls == len(derived)
+
+
+def _reference_ids(ops, capacity):
+    """Eagerly derived ids of a record sequence, modelling eviction."""
+    retained: dict[str, list[tuple[str, int | None]]] = {}
+    counters: dict[str, dict] = {}
+    for tid, parent_pick, name in ops:
+        if tid not in retained:
+            if len(retained) >= capacity:
+                oldest = next(iter(retained))
+                del retained[oldest], counters[oldest]
+            retained[tid], counters[tid] = [], {}
+        spans = retained[tid]
+        parent = None if parent_pick % (len(spans) + 1) == 0 else (
+            spans[parent_pick % (len(spans) + 1) - 1][0]
+        )
+        index = counters[tid].get((parent, name), 0)
+        counters[tid][(parent, name)] = index + 1
+        spans.append((span_id_for(tid, parent, name, index), parent))
+    return retained
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from([trace_id_for("k", seq) for seq in range(4)]),
+            st.integers(0, 7),
+            st.sampled_from(["downgrade", "admission", "serve"]),
+        ),
+        max_size=30,
+    ),
+    capacity=st.integers(1, 3),
+)
+def test_lazy_ids_equal_eager_derivation(ops, capacity):
+    """Every id read equals ``span_id_for(trace, parent, name, index)``:
+    past eviction, after an evicted trace is recorded again, and across
+    an ``absorb(to_json())`` round trip."""
+    tracer = Tracer(capacity=capacity)
+    objects: dict[str, list[Span]] = {}
+    for tid, parent_pick, name in ops:
+        if tid not in tracer.trace_ids():
+            objects[tid] = []
+        spans = objects[tid]
+        pick = parent_pick % (len(spans) + 1)
+        parent = None if pick == 0 else spans[pick - 1]
+        spans.append(tracer.record(tid, name, parent_id=parent, n=len(spans)))
+    expected = _reference_ids(ops, capacity)
+    assert tracer.trace_ids() == list(expected)
+    for tid, want in expected.items():
+        got = tracer.spans(tid)
+        assert [(s.span_id, s.parent_id) for s in got] == want
+        for span in got:
+            assert Span.from_json(span.to_json()) == span
+    copy = Tracer(capacity=capacity)
+    for tid in tracer.trace_ids():
+        copy.absorb(span.to_json() for span in tracer.spans(tid))
+    assert copy.trees() == tracer.trees()
+    assert copy.digest() == tracer.digest()
+    for tid, want in expected.items():
+        assert [(s.span_id, s.parent_id) for s in copy.spans(tid)] == want
+
+
+def test_retried_journal_entry_hangs_children_under_its_first_root():
+    """A journaled request whose flush died after execution and is
+    retried under the same key re-begins the same journal row, so its
+    trace gets a second root; every decision span still names the first
+    root, with the ids the eager derivation gives."""
+    spec = SecretSpec.declare("RetryLoc", x=(0, 199), y=(0, 199))
+
+    async def scenario():
+        store = SQLiteStore(":memory:")
+        server = DeclassificationServer(
+            size_above(100),
+            options=CompileOptions(domain="interval", modes=("under", "over")),
+            store=store,
+            journal=RequestJournal(store),
+            budget_floor=size_above(4000),
+            config=ServerConfig(inline_compiles=True),
+        )
+        await server.register_query(CompileRequest("west", "x <= 99", spec))
+        server.open_session("s1", (spec, (30, 40)), user_id="alice")
+        faults.install_fault_plan(
+            FaultPlan([FaultSpec(site="journal", kind="crash_after_execute_before_ack")]),
+            simulate=True,
+        )
+        try:
+            with pytest.raises(BrokenProcessPool):
+                await server.downgrade("s1", "west", idempotency_key="k")
+        finally:
+            faults.clear_fault_plan()
+        await server.downgrade("s1", "west", idempotency_key="k")
+        tracer = server.hub.tracer
+        (tid,) = tracer.trace_ids()
+        spans = tracer.spans(tid)
+        server.shutdown()
+        store.close()
+        return tid, spans, tracer.tree(tid)
+
+    tid, spans, tree = asyncio.run(scenario())
+    first = span_id_for(tid, None, "downgrade", 0)
+    assert [(s.name, s.parent_id) for s in spans] == [
+        ("downgrade", None),
+        ("admission", first),
+        ("serve", first),
+        ("downgrade", None),
+        ("admission", first),  # the retry is refused: the budget is spent
+    ]
+    assert [s.span_id for s in spans] == [
+        first,
+        span_id_for(tid, first, "admission", 0),
+        span_id_for(tid, first, "serve", 0),
+        span_id_for(tid, None, "downgrade", 1),
+        span_id_for(tid, first, "admission", 1),
+    ]
+    assert [root["name"] for root in tree["children"]] == ["downgrade", "downgrade"]

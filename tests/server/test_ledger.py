@@ -30,6 +30,7 @@ from repro.lang.secrets import SecretSpec
 from repro.monad.anosy import top_knowledge_for
 from repro.monad.policy import size_above
 from repro.monad.protected import ProtectedSecret
+from repro.obs.metrics import MetricsRegistry
 from repro.server.ledger import (
     ChargeRecord,
     DecayPolicy,
@@ -376,6 +377,43 @@ def test_preauthorize_batch_matches_scalar(workload, user_secrets, floor):
         assert actual == expected
         for uid in users:
             assert scalar.account(uid).refusals == batch.account(uid).refusals
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    workload=queries,
+    user_secrets=st.lists(secrets, min_size=1, max_size=6),
+    fleets=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=10), max_size=8),
+    floor=floors,
+)
+def test_preauthorize_batch_telemetry_matches_scalar(
+    workload, user_secrets, fleets, floor
+):
+    """Over random fleets (repeats included), batch admission records
+    exactly what a loop of scalar ``preauthorize`` records: identical
+    decisions and identical ``decision`` and ``declassified`` snapshots,
+    though it records once per batch."""
+    scalar = PrivacyBudgetLedger(size_above(floor))
+    batch = PrivacyBudgetLedger(size_above(floor))
+    scalar.metrics, batch.metrics = MetricsRegistry(), MetricsRegistry()
+    users = [f"u{i}" for i in range(len(user_secrets))]
+    for uid, secret in zip(users, user_secrets):
+        protected = ProtectedSecret.seal(SPEC, secret)
+        for axis, threshold in workload[:2]:
+            qinfo = threshold_qinfo(axis, threshold)
+            for ledger in (scalar, batch):
+                ledger.evaluate(uid, qinfo, protected)
+    channels = ("decision", "declassified")
+    for step, fleet in enumerate(fleets):
+        axis, threshold = workload[step % len(workload)]
+        qinfo = threshold_qinfo(axis, threshold)
+        ids = [users[i % len(users)] for i in fleet]
+        expected = {uid: scalar.preauthorize(uid, qinfo) for uid in dict.fromkeys(ids)}
+        assert batch.preauthorize_batch(ids, qinfo) == expected
+        assert batch.metrics.snapshot(channels) == scalar.metrics.snapshot(channels)
+        assert batch.metrics.exposition(channels) == scalar.metrics.exposition(
+            channels
+        )
 
 
 def test_preauthorize_batch_collapses_duplicate_ids():
