@@ -72,6 +72,7 @@ from repro.server.gateway import (
 )
 from repro.server.journal import (
     JOURNAL_FORMAT_VERSION,
+    IdempotencyKeyReused,
     JournalBackend,
     JournalEntry,
     MemoryJournalBackend,
@@ -133,6 +134,7 @@ __all__ = [
     "FaultSpec",
     "HttpEdge",
     "JOURNAL_FORMAT_VERSION",
+    "IdempotencyKeyReused",
     "JournalBackend",
     "JournalEntry",
     "MemoryJournalBackend",

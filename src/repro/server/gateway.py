@@ -108,7 +108,12 @@ from repro.obs.hub import MetricsHub
 from repro.obs.trace import Span, trace_id_for
 from repro.server import faults
 from repro.server.faults import FaultPlan
-from repro.server.journal import RequestJournal, live_state
+from repro.server.journal import (
+    IdempotencyKeyReused,
+    JournalEntry,
+    RequestJournal,
+    live_state,
+)
 from repro.server.ledger import DecayPolicy, PrivacyBudgetLedger
 from repro.server.supervise import RetryPolicy, ShardSupervisor
 from repro.server.workers import (
@@ -455,10 +460,11 @@ class DeclassificationServer:
             journal.metrics = self.hub.registry
         #: Monotone counter deriving trace ids on unjournaled servers.
         self._trace_counter = 0
-        #: In-flight journaled downgrades by idempotency key: a
-        #: duplicate delivery arriving before the first resolves awaits
-        #: the same future instead of double-enqueueing.
-        self._inflight_keys: dict[str, asyncio.Future] = {}
+        #: In-flight journaled downgrades by idempotency key, with the
+        #: journaled request: a duplicate delivery arriving before the
+        #: first resolves awaits the same future instead of
+        #: double-enqueueing.
+        self._inflight_keys: dict[str, tuple[dict[str, str], asyncio.Future]] = {}
         #: True when the ledger's durable mirror and the journal live in
         #: one store that can land bound puts and acks atomically — the
         #: exactly-once configuration.  The ledger then buffers its
@@ -534,8 +540,8 @@ class DeclassificationServer:
                 else options_to_json(request.options)
             ),
         }
-        key = idempotency_key or self.journal.auto_key("compile")
-        entry = self.journal.begin(key, "compile", payload)
+        key = self.journal.key_for(idempotency_key, "compile")
+        entry = self._journal_begin(key, "compile", payload)
         if entry.status == "done":
             self.stats.journal_duplicates += 1
             return ServerCompileReceipt.from_json(entry.response)
@@ -728,8 +734,8 @@ class DeclassificationServer:
             # in the same store the gateway already trusts.
             "value": list(secret.unprotect_tcb()),
         }
-        key = idempotency_key or self.journal.auto_key("open_session")
-        entry = self.journal.begin(key, "open_session", payload)
+        key = self.journal.key_for(idempotency_key, "open_session")
+        entry = self._journal_begin(key, "open_session", payload)
         if entry.status == "done":
             self.stats.journal_duplicates += 1
             handle = self._session_handle(session_id)
@@ -818,12 +824,15 @@ class DeclassificationServer:
 
         On a journaled server a duplicate ``idempotency_key`` is a no-op
         success returning ``None`` — the recorded close already
-        happened, and the live handle is gone.
+        happened, and the live handle is gone.  A key journaled for
+        another request raises
+        :class:`~repro.server.journal.IdempotencyKeyReused`, on every
+        journaled entry point.
         """
         if self.journal is None:
             return self._close_session(session_id)
-        key = idempotency_key or self.journal.auto_key("close_session")
-        entry = self.journal.begin(
+        key = self.journal.key_for(idempotency_key, "close_session")
+        entry = self._journal_begin(
             key, "close_session", {"session_id": session_id}
         )
         if entry.status == "done":
@@ -981,8 +990,8 @@ class DeclassificationServer:
         """
         if self.journal is None:
             return self._advance_epoch(epochs)
-        key = idempotency_key or self.journal.auto_key("advance_epoch")
-        entry = self.journal.begin(key, "advance_epoch", {"epochs": epochs})
+        key = self.journal.key_for(idempotency_key, "advance_epoch")
+        entry = self._journal_begin(key, "advance_epoch", {"epochs": epochs})
         if entry.status == "done":
             self.stats.journal_duplicates += 1
             return int(entry.response["epoch"])
@@ -1030,26 +1039,48 @@ class DeclassificationServer:
         flush) before its batch executes and acknowledged after the
         durable-mirror fold.  A duplicate ``idempotency_key`` returns
         the recorded result — or awaits the in-flight one — instead of
-        charging the budget twice.  Shed requests change no state and
-        are never journaled.
+        charging the budget twice; a key journaled for another session
+        or query raises :class:`~repro.server.journal.IdempotencyKeyReused`
+        instead.  Shed requests change no state and are never journaled.
         """
         if self.journal is None:
             return await self._enqueue_downgrade(session_id, query_name).future
-        key = idempotency_key or self.journal.auto_key("downgrade")
-        recorded = self.journal.recorded_response(key)
-        if recorded is not None:
-            self.stats.journal_duplicates += 1
-            return downgrade_result_from_json(recorded)
-        inflight = self._inflight_keys.get(key)
-        if inflight is not None:
-            self.stats.journal_duplicates += 1
-            return await asyncio.shield(inflight)
+        key = self.journal.key_for(idempotency_key, "downgrade")
+        request = {"session_id": session_id, "query_name": query_name}
+        # A server-issued key is fresh (RequestJournal.key_for): nothing
+        # is journaled or in flight under it, so only caller keys look.
+        if idempotency_key:
+            entry = self.journal.lookup(key, "downgrade", request)
+            if entry is not None and entry.status == "done":
+                self.stats.journal_duplicates += 1
+                return downgrade_result_from_json(entry.response)
+            inflight = self._inflight_keys.get(key)
+            if inflight is not None:
+                if inflight[0] != request:
+                    raise IdempotencyKeyReused(
+                        f"idempotency key {key!r} is in flight for a "
+                        "different request"
+                    )
+                self.stats.journal_duplicates += 1
+                return await asyncio.shield(inflight[1])
         pending = self._enqueue_downgrade(session_id, query_name, journal_key=key)
-        self._inflight_keys[key] = pending.future
+        self._inflight_keys[key] = (request, pending.future)
         pending.future.add_done_callback(
             lambda _f, key=key: self._inflight_keys.pop(key, None)
         )
         return await pending.future
+
+    def _journal_begin(
+        self, key: str, kind: str, payload: dict[str, Any]
+    ) -> JournalEntry:
+        """:meth:`RequestJournal.begin`, refusing a key a queued downgrade
+        holds (its row is appended only at flush)."""
+        assert self.journal is not None
+        if key in self._inflight_keys:
+            raise IdempotencyKeyReused(
+                f"idempotency key {key!r} is in flight for a different request"
+            )
+        return self.journal.begin(key, kind, payload)
 
     def _enqueue_downgrade(
         self,

@@ -41,12 +41,13 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Protocol, runtime_checkable
 
 from repro.obs.metrics import NULL_REGISTRY
-from repro.service.serialize import canonical_json, payload_digest
+from repro.service.serialize import canonical_json, json_digest
 
 __all__ = [
     "JOURNAL_FORMAT_VERSION",
     "JournalEntry",
     "JournalBackend",
+    "IdempotencyKeyReused",
     "MemoryJournalBackend",
     "RequestJournal",
     "JournalState",
@@ -62,6 +63,10 @@ JOURNAL_FORMAT_VERSION = 1
 #: Seed of every chained audit digest, so an empty journal has a
 #: well-defined digest and chains never collide with raw sha256 output.
 _CHAIN_SEED = "anosy-journal-v1"
+
+
+class IdempotencyKeyReused(ValueError):
+    """A key journaled for one request was sent with a different request."""
 
 
 @dataclass(frozen=True)
@@ -211,13 +216,14 @@ class MemoryJournalBackend:
             return len(doomed)
 
 
-def _decode_row(row: _Row) -> JournalEntry:
+def _decode_row(row: _Row, payload: dict[str, Any] | None = None) -> JournalEntry:
+    """A row as an entry; *payload*, when given, is the row's decoded payload."""
     seq, key, kind, payload_json, status, digest, response_json = row
     return JournalEntry(
         seq=int(seq),
         key=key,
         kind=kind,
-        payload=json.loads(payload_json),
+        payload=json.loads(payload_json) if payload is None else payload,
         status=status,
         outcome_digest=digest,
         response=None if response_json is None else json.loads(response_json),
@@ -230,7 +236,8 @@ class RequestJournal:
     Wraps a :class:`JournalBackend` with the append/ack discipline the
     gateway follows (see DESIGN.md §12): :meth:`begin` *before*
     execution, :meth:`ack` after the durable-mirror fold, duplicate
-    keys answered from :meth:`recorded_response`.  Also the spill sink
+    keys answered from the recorded entry (:meth:`begin`,
+    :meth:`lookup`).  Also the spill sink
     for the bounded in-memory audit trail (:meth:`spill_audit`) and the
     source :class:`~repro.server.replay.ReplaySession` reads.
     """
@@ -246,13 +253,13 @@ class RequestJournal:
         # high-water mark and every auto key already journaled, so a
         # restarted process never reissues a dead process's keys (which
         # would silently short-circuit to the dead request's response).
+        # :meth:`key_for` keeps the floor above caller-supplied auto
+        # keys too, so an issued key is always fresh.
         floor = backend.journal_next_seq()
         for row in backend.journal_entries():
-            key = row[1]
-            if key.startswith("auto/"):
-                tail = key.rsplit("/", 1)[-1]
-                if tail.isdigit():
-                    floor = max(floor, int(tail) + 1)
+            number = _auto_number(row[1])
+            if number is not None:
+                floor = max(floor, number + 1)
         self._auto = floor
 
     # -- write path --------------------------------------------------------
@@ -263,25 +270,54 @@ class RequestJournal:
             self._auto += 1
         return f"auto/{kind}/{n}"
 
+    def key_for(self, key: str | None, kind: str) -> str:
+        """The idempotency key one request journals under.
+
+        No key (or an empty one) gets a fresh :meth:`auto_key`.  A
+        caller-supplied key in the ``auto/`` namespace raises the
+        auto-key floor past itself, so the server never issues that key
+        to another request later (which would hand that request this
+        caller's recorded response).  Such keys are accepted, not
+        rejected: recovery and replay resubmit recorded auto keys.
+        """
+        if not key:
+            return self.auto_key(kind)
+        number = _auto_number(key)
+        if number is not None:
+            with self._lock:
+                self._auto = max(self._auto, number + 1)
+        return key
+
     def begin(self, key: str, kind: str, payload: dict[str, Any]) -> JournalEntry:
         """Journal one request before executing it.
 
         Returns the (new or pre-existing) entry.  A returned entry with
         ``status == "done"`` means this key already executed to
         acknowledgement: short-circuit to its ``response`` instead of
-        executing again.
+        executing again.  A key already journaled for a different
+        request raises :class:`IdempotencyKeyReused` (see
+        :meth:`begin_many`).
         """
         return self.begin_many([(key, kind, payload)])[0]
 
     def begin_many(
         self, items: list[tuple[str, str, dict[str, Any]]]
     ) -> list[JournalEntry]:
-        """Batched :meth:`begin` — one durable transaction per tick."""
+        """Batched :meth:`begin` — one durable transaction per tick.
+
+        Every returned row holds the kind and payload it was handed, and
+        gets that payload back as is, not a decoding of the stored text.
+        A key whose row holds a different request — done or pending —
+        raises :class:`IdempotencyKeyReused` rather than answering with
+        (or acknowledging onto) the other request's row; the rest of the
+        batch is journaled by then.
+        """
         if not items:
             return []
         start = time.perf_counter()
+        blobs = [canonical_json(payload) for _key, _kind, payload in items]
         rows = self.backend.journal_append_many(
-            [(key, kind, canonical_json(payload)) for key, kind, payload in items]
+            [(key, kind, blob) for (key, kind, _payload), blob in zip(items, blobs)]
         )
         metrics = self.metrics
         if metrics:
@@ -294,7 +330,12 @@ class RequestJournal:
                 "anosy_journal_appends_total",
                 "Requests journaled before execution.",
             ).inc(len(rows))
-        return [_decode_row(row) for row in rows]
+        for row, (key, kind, _payload), blob in zip(rows, items, blobs):
+            _check_reuse(row, key, kind, blob)
+        return [
+            _decode_row(row, payload)
+            for row, (_key, _kind, payload) in zip(rows, items)
+        ]
 
     def ack(
         self,
@@ -312,11 +353,11 @@ class RequestJournal:
         ledger-mirror writes to land atomically with the ack (see
         :meth:`ack_many`).
         """
-        digest = payload_digest(outcome)
-        self._ack_rows(
-            [(seq, digest, canonical_json(outcome if response is None else response))],
-            bounds,
-        )
+        blob = canonical_json(outcome)
+        digest = json_digest(blob)
+        if response is not None:
+            blob = canonical_json(response)
+        self._ack_rows([(seq, digest, blob)], bounds)
         return digest
 
     def ack_many(
@@ -335,15 +376,12 @@ class RequestJournal:
         """
         if not items and not bounds:
             return []
-        digests = [payload_digest(outcome) for _seq, outcome in items]
-        self._ack_rows(
-            [
-                (seq, digest, canonical_json(outcome))
-                for (seq, outcome), digest in zip(items, digests)
-            ],
-            bounds,
-        )
-        return digests
+        rows = []
+        for seq, outcome in items:
+            blob = canonical_json(outcome)
+            rows.append((seq, json_digest(blob), blob))
+        self._ack_rows(rows, bounds)
+        return [digest for _seq, digest, _blob in rows]
 
     def _ack_rows(
         self,
@@ -378,6 +416,21 @@ class RequestJournal:
         """The entry under *key*, or ``None``."""
         row = self.backend.journal_lookup(key)
         return None if row is None else _decode_row(row)
+
+    def lookup(
+        self, key: str, kind: str, payload: dict[str, Any]
+    ) -> JournalEntry | None:
+        """The entry this request already has under *key*, or ``None``.
+
+        Read-only :meth:`begin`: a key journaled for a different request
+        raises :class:`IdempotencyKeyReused` (server-issued keys count
+        up, so they are easy to guess).
+        """
+        row = self.backend.journal_lookup(key)
+        if row is None:
+            return None
+        _check_reuse(row, key, kind, canonical_json(payload))
+        return _decode_row(row, payload)
 
     def recorded_response(self, key: str) -> dict[str, Any] | None:
         """The recorded response for an *acknowledged* key, else ``None``."""
@@ -447,6 +500,22 @@ class RequestJournal:
                 return 0
             upto_seq = max(done)
         return self.backend.journal_compact(upto_seq)
+
+
+def _check_reuse(row: _Row, key: str, kind: str, payload_json: str) -> None:
+    """Raise :class:`IdempotencyKeyReused` unless *row* holds this request."""
+    if row[2] != kind or row[3] != payload_json:
+        raise IdempotencyKeyReused(
+            f"idempotency key {key!r} was journaled for a different request"
+        )
+
+
+def _auto_number(key: str) -> int | None:
+    """The counter of a key in the ``auto/`` namespace, else ``None``."""
+    if not key.startswith("auto/"):
+        return None
+    tail = key.rsplit("/", 1)[-1]
+    return int(tail) if tail.isascii() and tail.isdigit() else None
 
 
 def chain_digest(digests: Iterable[str]) -> str:

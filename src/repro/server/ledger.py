@@ -54,15 +54,17 @@ Two serving-scale concerns live here as well:
   ("decay is never tighter").
 
 Per-request cost tracks *distinct bounds*, not accounts: every stored
-bound is interned (equal bounds are one object), and admission decisions
-and commit transitions come from a FIFO-bounded memo keyed by the
-identity of its inputs, which each entry pins.  A hit changes only
-timing (DESIGN.md §9; differential-tested in
-``tests/server/test_ledger.py``).
+bound is interned (equal bounds are one object), and admission decisions,
+commit transitions, payload decodes and mirror meets come from a
+FIFO-bounded memo keyed by the identity (or, for encoded bounds, the
+digest) of its inputs, which each entry pins.  Each interned bound also
+carries its one encoding.  A hit changes only timing (DESIGN.md §9;
+differential-tested in ``tests/server/test_ledger.py``).
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import weakref
 from collections import Counter, OrderedDict
@@ -86,7 +88,7 @@ from repro.monad.anosy import (
 from repro.monad.policy import QuantitativePolicy
 from repro.monad.protected import Unprotectable
 from repro.obs.metrics import NULL_REGISTRY
-from repro.service.serialize import domain_from_json, domain_to_json
+from repro.service.serialize import canonical_json, domain_from_json, domain_to_json
 from repro.solver.boxes import Box
 
 __all__ = [
@@ -109,6 +111,22 @@ LEDGER_FORMAT_VERSION = 1
 #: responses); each entry pins its prior, so the cap also bounds how many
 #: bounds no account holds any more stay alive.
 _MEMO_CAPACITY = 2048
+
+
+def _encoded(bound: AbstractDomain) -> dict[str, Any]:
+    """:func:`~repro.service.serialize.domain_to_json` of an interned
+    bound, built once per bound.
+
+    It is cached on the bound itself (as a powerset caches its disjoint
+    pieces), so it lives exactly as long as the bound.  Payloads share
+    it: treat the bound encodings of
+    :meth:`PrivacyBudgetLedger.export_bound` as read-only.
+    """
+    encoded = bound.__dict__.get("_ledger_json")
+    if encoded is None:
+        encoded = domain_to_json(bound)
+        object.__setattr__(bound, "_ledger_json", encoded)
+    return encoded
 
 
 def _bound_key(bound: AbstractDomain) -> tuple:
@@ -301,6 +319,14 @@ class PrivacyBudgetLedger:
         #: Identity-keyed transitions: key -> (pinned inputs, value).
         self._memo: OrderedDict[tuple, tuple[tuple, Any]] = OrderedDict()
         self._memo_capacity = _MEMO_CAPACITY
+        #: The ⊤ prior per query, outside the FIFO: every fresh account
+        #: needs it, so it must not be evicted.  id(qinfo) -> (weak
+        #: reference to the qinfo, interned ⊤); the entry goes with the
+        #: query.
+        self._tops: dict[int, tuple[weakref.ref, AbstractDomain]] = {}
+        #: Decoded specs by canonical encoding, one per secret type the
+        #: payloads (from the store and the shards) name.
+        self._specs: dict[str, SecretSpec] = {}
         if store is not None:
             for user_id, spec_name, payload in list(store.ledger_bounds()):
                 self.apply_payload(user_id, spec_name, payload, persist=False)
@@ -517,8 +543,8 @@ class PrivacyBudgetLedger:
             return {
                 "version": LEDGER_FORMAT_VERSION,
                 "spec": spec_to_json(spec),
-                "sound": None if sound is None else domain_to_json(sound),
-                "complete": None if complete is None else domain_to_json(complete),
+                "sound": None if sound is None else _encoded(sound),
+                "complete": None if complete is None else _encoded(complete),
                 "epoch": self.epoch,
             }
 
@@ -550,8 +576,8 @@ class PrivacyBudgetLedger:
                 f"ledger payload for {user_id!r}/{spec_name!r} has format "
                 f"version {version!r}, this codec speaks {LEDGER_FORMAT_VERSION}"
             )
-        spec = spec_from_json(payload["spec"])
         with self._lock:
+            spec = self._spec(payload["spec"])
             account = self.account(user_id)
             for bounds, key in ((account.sound, "sound"), (account.complete, "complete")):
                 encoded = payload.get(key)
@@ -559,11 +585,11 @@ class PrivacyBudgetLedger:
                     if not monotone:
                         bounds.pop(spec_name, None)
                     continue
-                incoming = domain_from_json(encoded, spec)
+                incoming = self._decode(encoded, spec)
                 existing = bounds.get(spec_name)
                 if monotone and existing is not None:
-                    incoming = intersect_knowledge(existing, incoming)
-                bounds[spec_name] = self._intern(incoming)
+                    incoming = self._meet(existing, incoming)
+                bounds[spec_name] = incoming
             self.epoch = max(self.epoch, int(payload.get("epoch", 0)))
             if persist:
                 self._persist(user_id, spec)
@@ -669,14 +695,52 @@ class PrivacyBudgetLedger:
         return value
 
     def _top(self, qinfo: QInfo) -> AbstractDomain:
-        """The interned ⊤ prior of a query's domain."""
-        key = (id(qinfo),)
-        top = self._recall(key, (qinfo,))
-        if top is None:
-            top = self._remember(
-                key, (qinfo,), self._intern(top_knowledge_for(qinfo))
+        """The interned ⊤ prior of a query's domain (held while the query is).
+
+        The weak reference's callback drops the entry when the query
+        dies, before its ``id`` can be reused.
+        """
+        held = self._tops.get(id(qinfo))
+        if held is None:
+            tops, key = self._tops, id(qinfo)
+            held = tops[key] = (
+                weakref.ref(qinfo, lambda _ref: tops.pop(key, None)),
+                self._intern(top_knowledge_for(qinfo)),
             )
-        return top
+        return held[1]
+
+    def _spec(self, data: dict[str, Any]) -> SecretSpec:
+        """The one decoded spec per canonical spec encoding."""
+        key = canonical_json(data)
+        spec = self._specs.get(key)
+        if spec is None:
+            spec = self._specs[key] = spec_from_json(data)
+        return spec
+
+    def _decode(self, encoded: dict[str, Any], spec: SecretSpec) -> AbstractDomain:
+        """The interned bound an encoding denotes, decoded once per memo stay.
+
+        Keyed by a digest of the canonical encoding, so the memo holds
+        32 bytes per entry rather than the encoding itself.
+        """
+        digest = hashlib.sha256(canonical_json(encoded).encode("utf-8")).digest()
+        key, pins = ("decode", id(spec), digest), (spec,)
+        bound = self._recall(key, pins)
+        if bound is None:
+            bound = self._remember(
+                key, pins, self._intern(domain_from_json(encoded, spec))
+            )
+        return bound
+
+    def _meet(self, existing: AbstractDomain, incoming: AbstractDomain) -> AbstractDomain:
+        """The interned ``intersect_knowledge(existing, incoming)``, memoized."""
+        key, pins = ("meet", id(existing), id(incoming)), (existing, incoming)
+        bound = self._recall(key, pins)
+        if bound is None:
+            bound = self._remember(
+                key, pins, self._intern(intersect_knowledge(existing, incoming))
+            )
+        return bound
 
     def _transition(
         self, prior: AbstractDomain, qinfo: QInfo, mode: str, response: bool

@@ -273,6 +273,8 @@ class SQLiteStore:
     _JOURNAL_COLUMNS = (
         "seq, idem_key, kind, payload, status, outcome_digest, response"
     )
+    #: Keys bound per ``IN`` lookup (under SQLite's oldest variable limit).
+    _KEYS_PER_SELECT = 500
 
     def journal_append(self, key: str, kind: str, payload_json: str):
         """Insert one pending journal row, or return the existing row.
@@ -285,7 +287,11 @@ class SQLiteStore:
         return self.journal_append_many([(key, kind, payload_json)])[0]
 
     def journal_append_many(self, items: list[tuple[str, str, str]]):
-        """Batched append — one durable transaction for a whole tick."""
+        """Batched append — one durable transaction for a whole tick.
+
+        The rows come back from one ``SELECT ... IN`` per
+        :attr:`_KEYS_PER_SELECT` keys, not one per key.
+        """
 
         def txn(conn):
             now = time.time()
@@ -295,16 +301,17 @@ class SQLiteStore:
                 "VALUES (?, ?, ?, 'pending', ?)",
                 [(key, kind, blob, now) for key, kind, blob in items],
             )
-            rows = []
-            for key, _kind, _blob in items:
-                rows.append(
-                    conn.execute(
-                        f"SELECT {self._JOURNAL_COLUMNS} FROM request_journal "
-                        "WHERE idem_key = ?",
-                        (key,),
-                    ).fetchone()
-                )
-            return rows
+            keys = list(dict.fromkeys(key for key, _kind, _blob in items))
+            rows = {}
+            for at in range(0, len(keys), self._KEYS_PER_SELECT):
+                chunk = keys[at : at + self._KEYS_PER_SELECT]
+                for row in conn.execute(
+                    f"SELECT {self._JOURNAL_COLUMNS} FROM request_journal "
+                    f"WHERE idem_key IN ({','.join('?' * len(chunk))})",
+                    chunk,
+                ):
+                    rows[row[1]] = row
+            return [rows[key] for key, _kind, _blob in items]
 
         return self._write_txn(txn)
 

@@ -44,6 +44,7 @@ from repro.solver.boxes import Box
 __all__ = [
     "canonical_json",
     "payload_digest",
+    "json_digest",
     "box_to_json",
     "box_from_json",
     "domain_to_json",
@@ -83,7 +84,13 @@ def payload_digest(payload: Any) -> str:
     and the unit :class:`~repro.server.replay.ReplaySession` compares:
     two outcomes are "bit-identical" iff their digests match.
     """
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return json_digest(canonical_json(payload))
+
+
+def json_digest(text: str) -> str:
+    """:func:`payload_digest` of a payload whose :func:`canonical_json`
+    encoding is ``text`` (for callers that also keep the encoding)."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +237,13 @@ def downgrade_result_from_json(data: dict[str, Any]) -> "DowngradeResult":
 # ---------------------------------------------------------------------------
 
 
-def box_to_json(box: Box) -> list[list[int]]:
-    """Encode a box as a list of ``[lo, hi]`` pairs."""
-    return [[lo, hi] for lo, hi in box.bounds]
+def box_to_json(box: Box) -> tuple[tuple[int, int], ...]:
+    """Encode a box as its ``(lo, hi)`` pairs (JSON arrays when dumped).
+
+    The box's own bounds tuple, shared rather than copied: encodings
+    are read-only.
+    """
+    return box.bounds
 
 
 def box_from_json(data: list[list[int]]) -> Box:

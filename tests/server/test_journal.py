@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.server.journal import (
+    IdempotencyKeyReused,
     JOURNAL_FORMAT_VERSION,
     JournalBackend,
     MemoryJournalBackend,
@@ -13,7 +14,7 @@ from repro.server.journal import (
     live_state,
 )
 from repro.server.store import SQLiteStore
-from repro.service.serialize import payload_digest
+from repro.service.serialize import canonical_json, payload_digest
 
 
 @pytest.fixture(params=["memory", "sqlite"])
@@ -87,6 +88,19 @@ def test_auto_keys_never_repeat_across_restarts(backend):
     rebooted = RequestJournal(backend)
     fresh = rebooted.auto_key("downgrade")
     assert fresh not in keys
+
+
+def test_caller_supplied_auto_keys_raise_the_floor(backend):
+    journal = RequestJournal(backend)
+    floor = journal._auto
+    claimed = f"auto/open_session/{floor + 3}"
+    assert journal.key_for(claimed, "open_session") == claimed
+    issued = [journal.key_for(None, "downgrade") for _ in range(5)]
+    assert issued[0] == f"auto/downgrade/{floor + 4}"
+    # Below the floor, outside the namespace, or not a counter: no move.
+    for key in (f"auto/downgrade/{floor}", "client/99", "auto/x/99a", "auto/x/²"):
+        assert journal.key_for(key, "downgrade") == key
+    assert journal.key_for("", "downgrade") == f"auto/downgrade/{floor + 9}"
 
 
 def test_audit_digest_chains_done_entries_in_order(backend):
@@ -241,3 +255,75 @@ def test_memory_and_sqlite_backends_agree(deliveries, data):
                 j.ack(e.seq, {"request": request_id})
     assert mem.audit_digest() == sql.audit_digest()
     assert [e.key for e in mem.entries()] == [e.key for e in sql.entries()]
+
+
+def test_a_key_journaled_for_another_request_is_refused(backend):
+    """Pending or done, a row answers only the request it holds: the
+    same key with another payload or kind raises, at ``begin``,
+    ``begin_many`` and ``lookup``, and leaves the row as it was."""
+    journal = RequestJournal(backend)
+    bob = {"session_id": "bob", "query_name": "west"}
+    alice = {"session_id": "alice", "query_name": "west"}
+    pending = journal.begin("p", "downgrade", bob)
+    done = journal.begin("d", "downgrade", bob)
+    journal.ack(done.seq, {"i": 1})
+    for key in ("p", "d"):
+        with pytest.raises(IdempotencyKeyReused):
+            journal.begin(key, "downgrade", alice)
+        with pytest.raises(IdempotencyKeyReused):
+            journal.begin(key, "close_session", {"session_id": "bob"})
+        with pytest.raises(IdempotencyKeyReused):
+            journal.begin_many([("fresh", "downgrade", bob), (key, "downgrade", alice)])
+        with pytest.raises(IdempotencyKeyReused):
+            journal.lookup(key, "downgrade", alice)
+        assert journal.lookup(key, "downgrade", bob) == journal.entry(key)
+    assert journal.begin("p", "downgrade", bob) == pending
+    assert journal.entry("d").status == "done"
+    assert journal.lookup("missing", "downgrade", bob) is None
+
+
+_BATCHES = st.lists(
+    st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batches=_BATCHES, acks=st.lists(st.integers(min_value=0, max_value=9)))
+def test_begin_many_returns_the_stored_rows(batches, acks):
+    """``begin_many`` answers every key, new or re-begun (pending or
+    done), with the row a per-key lookup returns; chunked ``IN`` lookups
+    included."""
+    sqlite = SQLiteStore(":memory:")
+    sqlite._KEYS_PER_SELECT = 3
+    for backend in (MemoryJournalBackend(), sqlite):
+        journal = RequestJournal(backend)
+        for batch in batches:
+            entries = journal.begin_many(
+                [(f"k{i}", "downgrade", {"session_id": f"s{i}"}) for i in batch]
+            )
+            assert entries == [journal.entry(f"k{i}") for i in batch]
+            for i in acks:
+                done = journal.entry(f"k{i}")
+                if done is not None and done.status == "pending":
+                    journal.ack(done.seq, {"i": i}, response={"r": i})
+
+
+def test_acks_encode_each_outcome_once_with_identical_rows(backend):
+    journal = RequestJournal(backend)
+    entries = journal.begin_many(
+        [(f"k{i}", "downgrade", {"session_id": f"s{i}"}) for i in range(3)]
+    )
+    outcomes = [
+        {"kind": "downgrade", "i": i, "nested": [i, {"b": 1, "a": 2}]} for i in range(3)
+    ]
+    digests = journal.ack_many([(e.seq, o) for e, o in zip(entries, outcomes)])
+    assert digests == [payload_digest(o) for o in outcomes]
+    single = journal.begin("solo", "compile", {"name": "q"})
+    digest = journal.ack(single.seq, {"kind": "compile"}, response={"took": 1})
+    assert digest == payload_digest({"kind": "compile"})
+    rows = {row[1]: row for row in backend.journal_entries()}
+    for i, outcome in enumerate(outcomes):
+        assert rows[f"k{i}"][5:] == (payload_digest(outcome), canonical_json(outcome))
+    assert rows["solo"][5:] == (digest, canonical_json({"took": 1}))

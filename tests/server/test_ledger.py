@@ -14,10 +14,12 @@ histories run in milliseconds.
 """
 
 import dataclasses
+import gc
+import json
 import sys
 import threading
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -39,8 +41,9 @@ from repro.server.ledger import (
     LedgerInvariantError,
     PrivacyBudgetLedger,
 )
+from repro.lang.canonical import spec_to_json
 from repro.server.store import SQLiteStore
-from repro.service.serialize import domain_from_json
+from repro.service.serialize import canonical_json, domain_from_json, domain_to_json
 from repro.solver.boxes import Box
 
 SPEC = SecretSpec.declare("Grid", x=(0, 15), y=(0, 15))
@@ -479,6 +482,7 @@ class ReferenceLedger:
         self.complete: dict[str, object] = {}
         self.charges: dict[str, list[ChargeRecord]] = {u: [] for u in USERS}
         self.refusals: dict[str, int] = {u: 0 for u in USERS}
+        self.epoch = 0
 
     def prior(self, user: str, qinfo: QInfo):
         bound = self.sound.get(user)
@@ -522,8 +526,20 @@ class ReferenceLedger:
             if monotone and user in bounds:
                 incoming = intersect_knowledge(bounds[user], incoming)
             bounds[user] = incoming
+        self.epoch = max(self.epoch, payload["epoch"])
+
+    def export(self, user: str) -> dict:
+        sound, complete = self.sound.get(user), self.complete.get(user)
+        return {
+            "version": 1,
+            "spec": spec_to_json(SPEC),
+            "sound": None if sound is None else domain_to_json(sound),
+            "complete": None if complete is None else domain_to_json(complete),
+            "epoch": self.epoch,
+        }
 
     def advance_epoch(self, epochs: int) -> None:
+        self.epoch += epochs
         for bounds in (self.sound, self.complete):
             for user, bound in list(bounds.items()):
                 for _ in range(epochs):
@@ -545,6 +561,16 @@ ledger_ops = st.one_of(
     st.tuples(st.just("commit"), users_ix, queries_ix, st.booleans(), modes),
     st.tuples(st.just("apply"), users_ix, users_ix, st.booleans()),
     st.tuples(st.just("epoch"), st.integers(min_value=0, max_value=2)),
+    # Shard-delta traffic: snapshot a user's payload now, deliver any
+    # snapshot later (monotone), so deltas arrive stale, reordered and
+    # duplicated, as exported or as decoded off the wire.
+    st.tuples(st.just("export"), users_ix),
+    st.tuples(
+        st.just("deliver"),
+        users_ix,
+        st.integers(min_value=0, max_value=40),
+        st.booleans(),
+    ),
 )
 
 
@@ -562,6 +588,19 @@ def assert_interned(ledger: PrivacyBudgetLedger) -> None:
 
 
 @settings(max_examples=150, deadline=None)
+# A mirror re-fed its own bound still meets it: a powerset meet with
+# itself doubles its exclude boxes, so ``existing is incoming`` must not
+# short-cut to ``existing``.
+@example(
+    ops=[
+        ("commit", "u0", 2, True, "under"),
+        ("export", "u0"),
+        ("deliver", "u0", 0, False),
+    ],
+    floor=0,
+    radius=0,
+    capacity=2048,
+)
 @given(
     ops=st.lists(ledger_ops, min_size=1, max_size=40),
     floor=st.integers(min_value=0, max_value=120),
@@ -573,6 +612,7 @@ def test_memoized_ledger_matches_memo_free_fold(ops, floor, radius, capacity):
     ledger = PrivacyBudgetLedger(policy, decay=decay)
     ledger._memo_capacity = capacity
     reference = ReferenceLedger(policy, decay)
+    sent: list[dict] = []
     for op in ops:
         kind = op[0]
         if kind == "preauthorize":
@@ -604,6 +644,17 @@ def test_memoized_ledger_matches_memo_free_fold(ops, floor, radius, capacity):
             payload = ledger.export_bound(source, SPEC)
             ledger.apply_payload(user, SPEC.name, payload, monotone=monotone)
             reference.apply_payload(user, payload, monotone)
+        elif kind == "export":
+            sent.append(ledger.export_bound(op[1], SPEC))
+        elif kind == "deliver":
+            _, user, at, wire = op
+            if not sent:
+                continue
+            payload = sent[at % len(sent)]
+            if wire:
+                payload = json.loads(json.dumps(payload))
+            ledger.apply_payload(user, SPEC.name, payload, monotone=True)
+            reference.apply_payload(user, payload, True)
         else:
             ledger.advance_epoch(op[1])
             reference.advance_epoch(op[1])
@@ -613,6 +664,9 @@ def test_memoized_ledger_matches_memo_free_fold(ops, floor, radius, capacity):
             assert account.complete.get(SPEC.name) == reference.complete.get(user)
             assert account.charges == reference.charges[user]
             assert account.refusals == reference.refusals[user]
+            assert canonical_json(ledger.export_bound(user, SPEC)) == (
+                canonical_json(reference.export(user))
+            )
         assert_interned(ledger)
         assert len(ledger._memo) <= capacity
 
@@ -678,3 +732,36 @@ def test_concurrent_callers_share_one_memo_without_lost_updates():
             assert actual.refusals == expected.refusals
     assert_interned(shared)
     assert len(shared._memo) <= 8
+
+
+def test_top_prior_is_held_outside_the_fifo_memo():
+    """⊤ keeps its identity however many entries the FIFO memo evicts,
+    and is dropped with its query."""
+    ledger = PrivacyBudgetLedger(size_above(0))
+    ledger._memo_capacity = 4
+    qinfo = QUERY_POOL[0]
+    top = ledger._top(qinfo)
+    for n, other in enumerate(QUERY_POOL[1:4] * 4):
+        ledger.preauthorize(f"u{n}", other)
+        ledger.commit(f"u{n}", other, n % 2 == 0)
+    assert len(ledger._memo) <= 4
+    assert ledger._top(qinfo) is top
+    short_lived = threshold_qinfo("y", 3)
+    ledger._top(short_lived)
+    held = len(ledger._tops)
+    del short_lived
+    gc.collect()
+    assert len(ledger._tops) == held - 1
+
+
+def test_export_bound_reuses_one_encoding_per_bound():
+    """Every payload of one live bound shares one encoding, whose JSON
+    text is :func:`domain_to_json`'s."""
+    ledger = PrivacyBudgetLedger(size_above(0))
+    for user in ("a", "b"):
+        ledger.commit(user, QUERY_POOL[2], True)
+    first, second = (ledger.export_bound(u, SPEC) for u in ("a", "b"))
+    assert first["sound"] is second["sound"]
+    assert first["complete"] is second["complete"]
+    bound = ledger.sound_bound("a", SPEC)
+    assert canonical_json(first["sound"]) == canonical_json(domain_to_json(bound))

@@ -28,7 +28,11 @@ from repro.monad.policy import size_above
 from repro.server import faults
 from repro.server.faults import CRASH_EXIT_CODE, FaultPlan, FaultSpec
 from repro.server.gateway import DeclassificationServer, ServerConfig
-from repro.server.journal import MemoryJournalBackend, RequestJournal
+from repro.server.journal import (
+    IdempotencyKeyReused,
+    MemoryJournalBackend,
+    RequestJournal,
+)
 from repro.server.ledger import DecayPolicy
 from repro.server.replay import ReplaySession, replay_journal
 from repro.server.store import SQLiteStore
@@ -417,3 +421,120 @@ def test_duplicate_deliveries_never_double_charge(deliveries):
     control_remaining, control_entries = asyncio.run(run(["west", "south"]))
     assert remaining == control_remaining == 10_000
     assert entries == control_entries
+
+
+# ---------------------------------------------------------------------------
+# Server-issued keys: fresh by construction
+# ---------------------------------------------------------------------------
+
+
+class CountingBackend(MemoryJournalBackend):
+    """A memory journal that counts its key lookups."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lookups = 0
+
+    def journal_lookup(self, key):
+        self.lookups += 1
+        return super().journal_lookup(key)
+
+
+def test_caller_supplied_auto_key_is_never_issued_to_another_request():
+    """A caller who claims a future server-issued key must not receive,
+    nor hand out, another session's recorded result."""
+
+    async def scenario():
+        server = make_server(MemoryJournalBackend())
+        await boot(server)
+        server.open_session("alice", (SPEC, SECRET))
+        server.open_session("bob", (SPEC, (150, 160)))
+        claimed = f"auto/downgrade/{server.journal._auto + 1}"
+        mine = await server.downgrade("alice", "west", idempotency_key=claimed)
+        assert mine.session_id == "alice"
+        for name in ("west", "south", "inner"):
+            result = await server.downgrade("bob", name)
+            assert (result.session_id, result.query_name) == ("bob", name)
+        # Recovery resubmits recorded auto keys: still accepted, and a
+        # duplicate of the claimed key gets alice's recorded result.
+        again = await server.downgrade("alice", "west", idempotency_key=claimed)
+        assert again == mine
+        # The other direction: a key issued to bob (they count up) does
+        # not answer another request with bob's result, recorded or in
+        # flight.
+        issued = [e.key for e in server.journal.entries() if e.kind == "downgrade"]
+        with pytest.raises(IdempotencyKeyReused):
+            await server.downgrade("alice", "south", idempotency_key=issued[-1])
+        inflight = asyncio.ensure_future(
+            server.downgrade("bob", "west", idempotency_key="bob/retry")
+        )
+        await asyncio.sleep(0)
+        assert "bob/retry" in server._inflight_keys
+        with pytest.raises(IdempotencyKeyReused):
+            await server.downgrade("alice", "west", idempotency_key="bob/retry")
+        assert (await inflight).session_id == "bob"
+        server.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_auto_keyed_downgrades_skip_the_recorded_response_lookup():
+    async def scenario():
+        backend = CountingBackend()
+        server = make_server(backend)
+        await boot(server)
+        server.open_session("s1", (SPEC, SECRET), user_id="alice")
+        before = backend.lookups
+        assert (await server.downgrade("s1", "west")).authorized
+        assert backend.lookups == before
+        await server.downgrade("s1", "south", idempotency_key="client/1")
+        assert backend.lookups == before + 1
+        server.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_reused_keys_are_refused_at_every_journaled_entry_point():
+    """A key journaled for one request (done, pending, or queued for the
+    next flush) never answers, nor is acknowledged onto, another one."""
+
+    async def scenario():
+        server = make_server(MemoryJournalBackend())
+        await boot(server)
+        server.open_session("alice", (SPEC, SECRET), idempotency_key="open/alice")
+        server.open_session("bob", (SPEC, (150, 160)))
+        server.open_session("carol", (SPEC, (5, 6)))
+        # A done close key does not silently no-op alice's close ...
+        server.close_session("carol", idempotency_key="close/1")
+        with pytest.raises(IdempotencyKeyReused):
+            server.close_session("alice", idempotency_key="close/1")
+        assert server._session_handle("alice") is not None
+        # ... nor a done open key hand out a session never opened.
+        with pytest.raises(IdempotencyKeyReused):
+            server.open_session("mallory", (SPEC, (1, 2)), idempotency_key="open/alice")
+        assert server._session_handle("mallory") is None
+        # A pending row no process has in flight (recovery skips the
+        # entries it cannot re-apply): alice's result must not be
+        # acknowledged onto bob's journaled request.
+        request = {"session_id": "bob", "query_name": "west"}
+        left = server.journal.begin("left/1", "downgrade", request)
+        with pytest.raises(IdempotencyKeyReused):
+            await server.downgrade("alice", "west", idempotency_key="left/1")
+        assert server.journal.entry("left/1") == left
+        result = await server.downgrade("bob", "west", idempotency_key="left/1")
+        assert result.session_id == "bob"
+        acked = server.journal.entry("left/1")
+        assert (acked.seq, acked.status) == (left.seq, "done")
+        # A queued downgrade's row is appended only at flush; the
+        # synchronous entry points refuse its key meanwhile.
+        queued = asyncio.ensure_future(
+            server.downgrade("bob", "south", idempotency_key="queued/1")
+        )
+        await asyncio.sleep(0)
+        with pytest.raises(IdempotencyKeyReused):
+            server.close_session("bob", idempotency_key="queued/1")
+        assert (await queued).session_id == "bob"
+        assert server._session_handle("bob") is not None
+        server.shutdown()
+
+    asyncio.run(scenario())
